@@ -14,13 +14,17 @@
 // at the same event index, and the merged Result equals the sequential
 // trace.RunSource Result. The sharded-vs-sequential differential tests
 // pin this across every registered workload and manager.
+//
+// Every replay here runs the trace package's one kernel, trace.Replayer:
+// Build feeds it batches split at the snapshot boundaries and forks it at
+// each (manager clone plus live table), and a shard forks its snapshot's
+// kernel again and feeds it the window.
 package replay
 
 import (
 	"context"
 	"fmt"
 
-	"dmmkit/internal/heap"
 	"dmmkit/internal/mm"
 	"dmmkit/internal/pool"
 	"dmmkit/internal/trace"
@@ -64,26 +68,46 @@ func (o Options) withDefaults() Options {
 // snapshot is the replay state at one event boundary: everything needed
 // to continue the replay from index as if the prefix had just run.
 type snapshot struct {
-	index      int        // global index of the first event of the window
-	phase      int32      // phase of that event (diagnostic)
-	mgr        mm.Manager // manager state after events [0, index)
-	live       map[int64]heap.Addr
-	pos        trace.Pos // mid-stream resume point
-	positioned bool      // pos is valid (the build source reported positions)
-	foot       int64     // expected state at the boundary, for seam checks
-	maxFoot    int64
-	stats      mm.Stats
-	sum        uint64
-	hasSum     bool
+	index      int             // global index of the first event of the window
+	rep        *trace.Replayer // kernel state after events [0, index)
+	pos        trace.Pos       // start of the build batch holding event index
+	skip       int             // events from pos to index
+	positioned bool            // pos is valid (the build source reported positions)
+	want       state           // expected state at the boundary, for seam checks
 }
 
-// shardEnd is the expected state at the end of a window.
-type shardEnd struct {
+// state is a manager's state at a seam: what a shard's replay must land
+// on exactly.
+type state struct {
 	foot    int64
 	maxFoot int64
 	stats   mm.Stats
 	sum     uint64
 	hasSum  bool
+}
+
+// stateOf captures m's seam state.
+func stateOf(m mm.Manager) state {
+	s := state{foot: m.Footprint(), maxFoot: m.MaxFootprint(), stats: m.Stats()}
+	if cs, ok := m.(mm.Checksummer); ok {
+		s.sum, s.hasSum = cs.StateChecksum(), true
+	}
+	return s
+}
+
+// diverge reports how got differs from want — footprint, high-water
+// mark, cumulative stats, and the state checksum when both sides have
+// one — or nil when it does not.
+func diverge(got, want state) error {
+	switch {
+	case got.foot != want.foot, got.maxFoot != want.maxFoot:
+		return fmt.Errorf("footprint %d/%d, want %d/%d", got.foot, got.maxFoot, want.foot, want.maxFoot)
+	case got.stats != want.stats:
+		return fmt.Errorf("stats %+v, want %+v", got.stats, want.stats)
+	case got.hasSum && want.hasSum && got.sum != want.sum:
+		return fmt.Errorf("state checksum %016x, want %016x", got.sum, want.sum)
+	}
+	return nil
 }
 
 // Phases is an immutable index over one (manager, trace) pair: the
@@ -95,8 +119,8 @@ type Phases struct {
 	op    trace.Opener
 	mem   *trace.Trace // non-nil when the trace is in memory: shard by slicing
 	snaps []snapshot
-	total int // total events in the trace
-	final shardEnd
+	total int   // total events in the trace
+	final state // sequential end state
 }
 
 // Shards returns the number of parallel windows Replay will run.
@@ -116,14 +140,14 @@ func (p *Phases) Boundary(k int) int { return p.snaps[k].index }
 // replay state afterwards.
 //
 // When the build source reports positions (a DMMT2 file), shards later
-// resume by seeking; otherwise file shards re-decode and skip their
+// resume by seeking to the start of the batch holding their first event
+// and skipping to it; otherwise file shards re-decode and skip their
 // prefix, and in-memory traces slice directly.
 func Build(ctx context.Context, m mm.Manager, op trace.Opener, opts Options) (*Phases, trace.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cl, ok := m.(mm.Cloner)
-	if !ok {
+	if _, ok := m.(mm.Cloner); !ok {
 		return nil, trace.Result{}, fmt.Errorf("replay: manager %s does not support cloning", m.Name())
 	}
 	opts = opts.withDefaults()
@@ -137,121 +161,78 @@ func Build(ctx context.Context, m mm.Manager, op trace.Opener, opts Options) (*P
 	if t, ok := op.(*trace.Trace); ok {
 		p.mem = t
 	}
-	pos, _ := src.(trace.Positioner)
-
-	res := trace.Result{Manager: m.Name(), TraceName: p.name}
-	live := make(map[int64]heap.Addr, 256)
-	snap := func(i int, phase int32, at trace.Pos) error {
-		cm, err := cl.CloneManager()
+	pos, positioned := src.(trace.Positioner)
+	r := trace.NewReplayer(m, p.name, trace.RunOpts{})
+	var at trace.Pos // position of the current batch's first event
+	snap := func(i, skip int) error {
+		rep, err := r.Fork(trace.RunOpts{})
 		if err != nil {
 			return fmt.Errorf("replay: snapshot at event %d: %w", i, err)
 		}
-		if _, ok := cm.(mm.Cloner); !ok {
+		if _, ok := rep.Manager().(mm.Cloner); !ok {
 			return fmt.Errorf("replay: clone of %s is not itself cloneable", m.Name())
 		}
-		lv := make(map[int64]heap.Addr, len(live))
-		for id, a := range live {
-			lv[id] = a
-		}
-		s := snapshot{
-			index: i, phase: phase, mgr: cm, live: lv,
-			pos: at, positioned: pos != nil,
-			foot: m.Footprint(), maxFoot: m.MaxFootprint(), stats: m.Stats(),
-		}
-		if cs, ok := m.(mm.Checksummer); ok {
-			s.sum, s.hasSum = cs.StateChecksum(), true
-		}
-		p.snaps = append(p.snaps, s)
+		p.snaps = append(p.snaps, snapshot{
+			index: i, rep: rep,
+			pos: at, skip: skip, positioned: positioned,
+			want: stateOf(m),
+		})
 		return nil
 	}
-
-	var at trace.Pos
-	if pos != nil {
+	if positioned {
 		at = pos.Pos()
 	}
-	if err := snap(0, 0, at); err != nil {
+	if err := snap(0, 0); err != nil {
 		return nil, trace.Result{}, err
 	}
+
+	// Each batch is applied in pieces split at the snapshot boundaries.
+	buf := make([]trace.Event, trace.BatchLen)
 	var lastPhase int32
-	first := true
-	sinceSnap := 0
-	i := 0
+	sinceSnap, base := 0, 0 // base: global index of the batch's first event
 	for {
-		if i&4095 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, trace.Result{}, fmt.Errorf("replay: build %q on %s: event %d: %w", p.name, m.Name(), i, err)
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, trace.Result{}, fmt.Errorf("replay: build %q on %s: event %d: %w", p.name, m.Name(), base, err)
 		}
-		if pos != nil {
+		if positioned {
 			at = pos.Pos()
 		}
-		e, ok, err := src.Next()
-		if err != nil {
-			return nil, trace.Result{}, fmt.Errorf("replay: build %q on %s: event %d: %w", p.name, m.Name(), i, err)
+		n, berr := trace.ReadBatch(src, buf)
+		events, start := buf[:n], 0
+		for j := range events {
+			phase := events[j].Phase
+			boundary := (base+j > 0 && phase != lastPhase) || (opts.Every > 0 && sinceSnap >= opts.Every)
+			lastPhase = phase
+			if boundary && sinceSnap >= opts.MinWindow && len(p.snaps) < opts.MaxShards {
+				if err := r.Apply(events[start:j]); err != nil {
+					return nil, trace.Result{}, fmt.Errorf("replay: build: %w", err)
+				}
+				if err := snap(base+j, j); err != nil {
+					return nil, trace.Result{}, err
+				}
+				start, sinceSnap = j, 0
+			}
+			sinceSnap++
 		}
-		if !ok {
+		if err := r.Apply(events[start:]); err != nil {
+			return nil, trace.Result{}, fmt.Errorf("replay: build: %w", err)
+		}
+		base += n
+		if berr != nil {
+			return nil, trace.Result{}, fmt.Errorf("replay: build %q on %s: event %d: %w", p.name, m.Name(), base, berr)
+		}
+		if n == 0 {
 			break
 		}
-		boundary := !first && e.Phase != lastPhase
-		if opts.Every > 0 && sinceSnap >= opts.Every {
-			boundary = true
-		}
-		if boundary && sinceSnap >= opts.MinWindow && len(p.snaps) < opts.MaxShards {
-			if err := snap(i, e.Phase, at); err != nil {
-				return nil, trace.Result{}, err
-			}
-			sinceSnap = 0
-		}
-		if err := apply(m, live, &e); err != nil {
-			return nil, trace.Result{}, fmt.Errorf("replay: build %q on %s: event %d: %w", p.name, m.Name(), i, err)
-		}
-		res.Events++
-		lastPhase = e.Phase
-		first = false
-		sinceSnap++
-		i++
 	}
-	res.MaxFootprint = m.MaxFootprint()
-	res.Final = m.Footprint()
-	res.Stats = m.Stats()
-	res.MaxLive = res.Stats.MaxLive
-	res.Work = res.Stats.Work
-	p.total = i
-	p.final = shardEnd{foot: res.Final, maxFoot: res.MaxFootprint, stats: res.Stats}
-	if cs, ok := m.(mm.Checksummer); ok {
-		p.final.sum, p.final.hasSum = cs.StateChecksum(), true
-	}
-	return p, res, nil
-}
-
-// apply replays one event against a manager and its live-pointer table,
-// with the exact semantics of the trace package's replay loops.
-func apply(m mm.Manager, live map[int64]heap.Addr, e *trace.Event) error {
-	switch e.Kind {
-	case trace.KindAlloc:
-		a, err := m.Alloc(mm.Request{Size: e.Size, Tag: int(e.Tag), Phase: int(e.Phase)})
-		if err != nil {
-			return fmt.Errorf("alloc %d bytes: %w", e.Size, err)
-		}
-		live[e.ID] = a
-	case trace.KindFree:
-		a, ok := live[e.ID]
-		if !ok {
-			return fmt.Errorf("free of unknown id %d", e.ID)
-		}
-		delete(live, e.ID)
-		if err := m.Free(a); err != nil {
-			return fmt.Errorf("free id %d: %w", e.ID, err)
-		}
-	default:
-		return fmt.Errorf("bad kind %d", e.Kind)
-	}
-	return nil
+	p.total = base
+	p.final = stateOf(m)
+	return p, r.Result(), nil
 }
 
 // Replay runs every window as an independent shard over internal/pool
 // at the given parallelism (<= 0 selects GOMAXPROCS) and merges: each
-// shard clones its snapshot, replays its window, and must land exactly
+// shard forks its snapshot, replays its window, and must land exactly
 // on the next snapshot's state — footprint, high-water mark, cumulative
 // stats, and state checksum are all verified at every seam, and the
 // last shard against the sequential end state. The merged Result is
@@ -266,7 +247,7 @@ func (p *Phases) Replay(ctx context.Context, parallelism int, opts trace.RunOpts
 		return trace.Result{}, fmt.Errorf("replay: empty index")
 	}
 	results := make([]trace.Result, K)
-	ends := make([]shardEnd, K)
+	ends := make([]state, K)
 	err := pool.Run(ctx, parallelism, K, func(k int) error {
 		r, end, err := p.replayShard(ctx, k, opts)
 		if err != nil {
@@ -282,20 +263,10 @@ func (p *Phases) Replay(ctx context.Context, parallelism int, opts trace.RunOpts
 	for k := 0; k < K; k++ {
 		want := p.final
 		if k+1 < K {
-			s := &p.snaps[k+1]
-			want = shardEnd{foot: s.foot, maxFoot: s.maxFoot, stats: s.stats, sum: s.sum, hasSum: s.hasSum}
+			want = p.snaps[k+1].want
 		}
-		got := ends[k]
-		switch {
-		case got.foot != want.foot, got.maxFoot != want.maxFoot:
-			return trace.Result{}, fmt.Errorf("replay: shard %d of %q diverged: footprint %d/%d at seam, want %d/%d",
-				k, p.name, got.foot, got.maxFoot, want.foot, want.maxFoot)
-		case got.stats != want.stats:
-			return trace.Result{}, fmt.Errorf("replay: shard %d of %q diverged: stats %+v at seam, want %+v",
-				k, p.name, got.stats, want.stats)
-		case got.hasSum && want.hasSum && got.sum != want.sum:
-			return trace.Result{}, fmt.Errorf("replay: shard %d of %q diverged: state checksum %016x at seam, want %016x",
-				k, p.name, got.sum, want.sum)
+		if err := diverge(ends[k], want); err != nil {
+			return trace.Result{}, fmt.Errorf("replay: shard %d of %q diverged at seam: %w", k, p.name, err)
 		}
 	}
 	merged := results[K-1]
@@ -312,11 +283,11 @@ func (p *Phases) Replay(ctx context.Context, parallelism int, opts trace.RunOpts
 }
 
 // ReplayFrom replays only the suffix starting at shard k, sequentially,
-// on a clone of that shard's snapshot — the incremental path: re-running
+// on a fork of that shard's snapshot — the incremental path: re-running
 // a tail (denser sampling, a seam re-verification) costs only the tail.
-// The returned Result carries the cumulative end-of-trace state, equal
-// to a full sequential replay; its Series covers only the replayed
-// suffix.
+// Its end state must equal the sequential one in every seam-checked
+// field, and the returned Result carries that cumulative end-of-trace
+// state; its Series covers only the replayed suffix.
 func (p *Phases) ReplayFrom(ctx context.Context, k int, opts trace.RunOpts) (trace.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -328,8 +299,8 @@ func (p *Phases) ReplayFrom(ctx context.Context, k int, opts trace.RunOpts) (tra
 	if err != nil {
 		return trace.Result{}, err
 	}
-	if end.foot != p.final.foot || end.stats != p.final.stats {
-		return trace.Result{}, fmt.Errorf("replay: suffix from shard %d of %q diverged from the sequential end state", k, p.name)
+	if err := diverge(end, p.final); err != nil {
+		return trace.Result{}, fmt.Errorf("replay: suffix from shard %d of %q diverged from the sequential end state: %w", k, p.name, err)
 	}
 	res.Events = p.total
 	return res, nil
@@ -337,7 +308,7 @@ func (p *Phases) ReplayFrom(ctx context.Context, k int, opts trace.RunOpts) (tra
 
 // replayShard replays window k (snapshot k up to snapshot k+1 or the
 // end of the trace).
-func (p *Phases) replayShard(ctx context.Context, k int, opts trace.RunOpts) (trace.Result, shardEnd, error) {
+func (p *Phases) replayShard(ctx context.Context, k int, opts trace.RunOpts) (trace.Result, state, error) {
 	end := p.total
 	if k+1 < len(p.snaps) {
 		end = p.snaps[k+1].index
@@ -345,137 +316,85 @@ func (p *Phases) replayShard(ctx context.Context, k int, opts trace.RunOpts) (tr
 	return p.replaySpan(ctx, k, end, opts)
 }
 
-// replaySpan clones snapshot k and replays events [snaps[k].index, end)
-// against the clone, returning the window result and the clone's end
-// state.
-func (p *Phases) replaySpan(ctx context.Context, k, end int, opts trace.RunOpts) (trace.Result, shardEnd, error) {
+// replaySpan forks snapshot k's kernel and replays events
+// [snaps[k].index, end) on the fork, returning the window result and the
+// fork's end state.
+func (p *Phases) replaySpan(ctx context.Context, k, end int, opts trace.RunOpts) (trace.Result, state, error) {
 	s := &p.snaps[k]
-	fail := func(err error) (trace.Result, shardEnd, error) {
-		return trace.Result{}, shardEnd{}, fmt.Errorf("replay: shard %d of %q (events %d..%d): %w", k, p.name, s.index, end, err)
+	r, err := s.rep.Fork(opts)
+	if err == nil {
+		if p.mem != nil {
+			err = applySlices(ctx, r, p.mem.Events[s.index:end])
+		} else {
+			err = p.streamSpan(ctx, s, end-s.index, r.Apply)
+		}
 	}
-	cl, ok := s.mgr.(mm.Cloner)
-	if !ok {
-		return fail(fmt.Errorf("snapshot manager %s is not cloneable", s.mgr.Name()))
-	}
-	m, err := cl.CloneManager()
 	if err != nil {
-		return fail(err)
+		return trace.Result{}, state{}, fmt.Errorf("replay: shard %d of %q (events %d..%d): %w", k, p.name, s.index, end, err)
 	}
-	live := make(map[int64]heap.Addr, len(s.live))
-	for id, a := range s.live {
-		live[id] = a
-	}
-	res := trace.Result{Manager: m.Name(), TraceName: p.name}
-	step := func(gi int, e *trace.Event) error {
-		if err := apply(m, live, e); err != nil {
-			return fmt.Errorf("event %d: %w", gi, err)
-		}
-		res.Events++
-		if opts.SampleEvery > 0 && gi%opts.SampleEvery == 0 {
-			res.Series = append(res.Series, trace.Point{
-				Index: gi, Tick: e.Tick, Footprint: m.Footprint(), Live: m.Stats().LiveBytes,
-			})
-		}
-		return nil
-	}
-
-	if p.mem != nil {
-		events := p.mem.Events[s.index:end]
-		for j := range events {
-			if j&4095 == 0 {
-				if err := ctx.Err(); err != nil {
-					return fail(err)
-				}
-			}
-			if err := step(s.index+j, &events[j]); err != nil {
-				return fail(err)
-			}
-		}
-	} else if err := p.streamSpan(ctx, s, end, step); err != nil {
-		return fail(err)
-	}
-
-	res.MaxFootprint = m.MaxFootprint()
-	res.Final = m.Footprint()
-	res.Stats = m.Stats()
-	res.MaxLive = res.Stats.MaxLive
-	res.Work = res.Stats.Work
-	se := shardEnd{foot: res.Final, maxFoot: res.MaxFootprint, stats: res.Stats}
-	if cs, ok := m.(mm.Checksummer); ok {
-		se.sum, se.hasSum = cs.StateChecksum(), true
-	}
-	return res, se, nil
+	return r.Result(), stateOf(r.Manager()), nil
 }
 
-// streamSpan drives step over events [s.index, end) of a streamed
-// trace: seek straight to the snapshot's position when the Opener
-// supports it, else decode-and-discard the prefix.
-func (p *Phases) streamSpan(ctx context.Context, s *snapshot, end int, step func(gi int, e *trace.Event) error) error {
-	var src trace.Source
-	if oa, ok := p.op.(trace.OpenerAt); ok && s.positioned {
-		var err error
-		if src, err = oa.OpenAt(s.pos); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if src, err = p.op.Open(); err != nil {
-			return err
-		}
-		if err := skipEvents(ctx, src, s.index); err != nil {
-			_ = trace.Close(src)
-			return err
-		}
-	}
-	defer trace.Close(src)
-
-	buf := make([]trace.Event, trace.BatchLen)
-	gi := s.index
-	for gi < end {
+// applySlices applies events to r in zero-copy sub-slices of at most
+// trace.BatchLen events, checking ctx between them.
+func applySlices(ctx context.Context, r *trace.Replayer, events []trace.Event) error {
+	for len(events) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		want := end - gi
-		if want > len(buf) {
-			want = len(buf)
+		n := min(len(events), trace.BatchLen)
+		if err := r.Apply(events[:n]); err != nil {
+			return err
 		}
-		n, berr := trace.ReadBatch(src, buf[:want])
-		for j := 0; j < n; j++ {
-			if err := step(gi, &buf[j]); err != nil {
-				return err
-			}
-			gi++
-		}
-		if berr != nil {
-			return berr
-		}
-		if n == 0 {
-			return fmt.Errorf("stream ended at event %d, want %d", gi, end)
-		}
+		events = events[n:]
 	}
 	return nil
 }
 
-// skipEvents decodes and discards n events, advancing src to the
-// window's first event for sources that cannot seek.
-func skipEvents(ctx context.Context, src trace.Source, n int) error {
+// streamSpan hands the n events from snapshot s onwards to apply, in
+// batches: it seeks to the start of the snapshot's build batch and skips
+// to the snapshot when the Opener supports it, else decodes and skips
+// the whole prefix.
+func (p *Phases) streamSpan(ctx context.Context, s *snapshot, n int, apply func([]trace.Event) error) error {
+	var src trace.Source
+	var err error
+	skip := s.index
+	if oa, ok := p.op.(trace.OpenerAt); ok && s.positioned {
+		src, err = oa.OpenAt(s.pos)
+		skip = s.skip
+	} else {
+		src, err = p.op.Open()
+	}
+	if err != nil {
+		return err
+	}
+	defer trace.Close(src)
+	if err := readEvents(ctx, src, skip, nil); err != nil {
+		return err
+	}
+	return readEvents(ctx, src, n, apply)
+}
+
+// readEvents reads exactly n events from src in batches, handing each
+// batch to fn (a nil fn discards them).
+func readEvents(ctx context.Context, src trace.Source, n int, fn func([]trace.Event) error) error {
 	buf := make([]trace.Event, trace.BatchLen)
-	skipped := 0
-	for skipped < n {
+	for done := 0; done < n; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		want := n - skipped
-		if want > len(buf) {
-			want = len(buf)
+		got, err := trace.ReadBatch(src, buf[:min(n-done, len(buf))])
+		if fn != nil {
+			if err := fn(buf[:got]); err != nil {
+				return err
+			}
 		}
-		got, err := trace.ReadBatch(src, buf[:want])
-		skipped += got
+		done += got
 		if err != nil {
 			return err
 		}
 		if got == 0 {
-			return fmt.Errorf("stream ended at event %d while skipping to %d", skipped, n)
+			return fmt.Errorf("stream ended %d events short", n-done)
 		}
 	}
 	return nil

@@ -153,6 +153,92 @@ func TestShardedReplayFromFile(t *testing.T) {
 	}
 }
 
+// plainOpener hides OpenAt, so shards over it decode and skip their
+// whole prefix instead of seeking.
+type plainOpener struct{ f *trace.File }
+
+func (o plainOpener) Open() (trace.Source, error) { return o.f.Open() }
+
+// TestShardedReplayMidBatch snapshots a DMMT2 file every 1000 events — a
+// count that does not divide trace.BatchLen — and at phase boundaries, so
+// most snapshots land inside a build batch: a positioned shard seeks to
+// the batch start and skips to its first event, an unpositioned one
+// skips the whole prefix. Both must replay every window and every suffix
+// exactly as the sequential replay does.
+func TestShardedReplayMidBatch(t *testing.T) {
+	ctx := context.Background()
+	tr, err := registry.BuildWorkload("drr", registry.WorkloadOpts{Seed: 4, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := profile.FromTrace(tr)
+	path := filepath.Join(t.TempDir(), "drr.dmmt2")
+	fh, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.EncodeBinary2(fh); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := trace.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := replay.Options{Every: 1000, MinWindow: 64, MaxShards: 16}
+	runOpts := trace.RunOpts{SampleEvery: 89}
+	m1, err := registry.NewManager("lea", nil, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.Run(ctx, m1, tr, runOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, op := range []struct {
+		name string
+		op   trace.Opener
+	}{{"seek", f}, {"skip", plainOpener{f}}} {
+		m2, err := registry.NewManager("lea", nil, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases, _, err := replay.Build(ctx, m2, op.op, opts)
+		if err != nil {
+			t.Fatalf("%s: build: %v", op.name, err)
+		}
+		midBatch := 0
+		for k := 0; k < phases.Shards(); k++ {
+			if phases.Boundary(k)%trace.BatchLen != 0 {
+				midBatch++
+			}
+		}
+		if phases.Shards() < 4 || midBatch < 3 {
+			t.Fatalf("%s: %d shards, %d starting mid-batch; the test needs several", op.name, phases.Shards(), midBatch)
+		}
+		sharded, err := phases.Replay(ctx, 4, runOpts)
+		if err != nil {
+			t.Fatalf("%s: sharded replay: %v", op.name, err)
+		}
+		if !reflect.DeepEqual(want, sharded) {
+			t.Errorf("%s: sharded replay diverged\nwant: %+v\ngot:  %+v", op.name, want, sharded)
+		}
+		for k := 0; k < phases.Shards(); k++ {
+			suffix, err := phases.ReplayFrom(ctx, k, trace.RunOpts{})
+			if err != nil {
+				t.Fatalf("%s: replay from shard %d: %v", op.name, k, err)
+			}
+			suffix.Series = want.Series
+			if !reflect.DeepEqual(want, suffix) {
+				t.Errorf("%s: suffix replay from shard %d diverged\nwant: %+v\ngot:  %+v", op.name, k, want, suffix)
+			}
+		}
+	}
+}
+
 // TestShardedSeriesMatchesSequential pins the sampling contract: with
 // SampleEvery set, the concatenated shard series must be the sequential
 // series, point for point (samples are taken at global indices).
@@ -225,9 +311,10 @@ func TestPhasesReusable(t *testing.T) {
 }
 
 // TestCloneIndependence checks the manager Clone contract directly for
-// every registered family: replay half a trace, clone, finish the trace
-// on both the original and the clone independently, and require
-// identical end states — any shared mutable structure would desync them.
+// every registered family: replay half a trace, fork the replay kernel
+// (manager clone plus live table), finish the trace on both the original
+// and the fork independently, and require identical end states — any
+// shared mutable structure would desync them.
 func TestCloneIndependence(t *testing.T) {
 	tr, err := registry.BuildWorkload("drr", registry.WorkloadOpts{Seed: 2, Quick: true})
 	if err != nil {
@@ -240,33 +327,24 @@ func TestCloneIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cl, ok := m.(mm.Cloner)
-		if !ok {
+		if _, ok := m.(mm.Cloner); !ok {
 			t.Fatalf("%s: registered manager does not implement mm.Cloner", name)
 		}
-		live := map[int64]heap.Addr{}
-		run := func(m mm.Manager, live map[int64]heap.Addr, events []trace.Event) {
-			t.Helper()
-			for i := range events {
-				if err := applyEvent(m, live, &events[i]); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+		r := trace.NewReplayer(m, tr.Name, trace.RunOpts{})
+		if err := r.Apply(tr.Events[:half]); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fork, err := r.Fork(trace.RunOpts{})
+		if err != nil {
+			t.Fatalf("%s: fork: %v", name, err)
+		}
+		for _, rep := range []*trace.Replayer{r, fork} {
+			if err := rep.Apply(tr.Events[half:]); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		run(m, live, tr.Events[:half])
 
-		cm, err := cl.CloneManager()
-		if err != nil {
-			t.Fatalf("%s: clone: %v", name, err)
-		}
-		cliv := make(map[int64]heap.Addr, len(live))
-		for id, a := range live {
-			cliv[id] = a
-		}
-
-		run(m, live, tr.Events[half:])
-		run(cm, cliv, tr.Events[half:])
-
+		cm := fork.Manager()
 		if m.Footprint() != cm.Footprint() || m.MaxFootprint() != cm.MaxFootprint() {
 			t.Errorf("%s: clone footprint %d/%d, original %d/%d",
 				name, cm.Footprint(), cm.MaxFootprint(), m.Footprint(), m.MaxFootprint())
@@ -283,26 +361,6 @@ func TestCloneIndependence(t *testing.T) {
 			t.Errorf("%s: clone checksum %016x, original %016x", name, s2.StateChecksum(), s1.StateChecksum())
 		}
 	}
-}
-
-// applyEvent mirrors the replay loop's event semantics for the clone
-// test, which drives managers without a trace source.
-func applyEvent(m mm.Manager, live map[int64]heap.Addr, e *trace.Event) error {
-	switch e.Kind {
-	case trace.KindAlloc:
-		a, err := m.Alloc(mm.Request{Size: e.Size, Tag: int(e.Tag), Phase: int(e.Phase)})
-		if err != nil {
-			return err
-		}
-		live[e.ID] = a
-	case trace.KindFree:
-		a := live[e.ID]
-		delete(live, e.ID)
-		if err := m.Free(a); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TestBuildRejectsNonCloner pins the error path for managers without

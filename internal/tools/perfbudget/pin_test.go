@@ -3,6 +3,7 @@ package main
 import (
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,14 +92,14 @@ func TestFastPathPins(t *testing.T) {
 	// Annotated hot loops: the annotation must still be attached (a
 	// refactor that detaches the comment silently unguards the loop),
 	// and the DMMT2 batch-decode loop must stay free of bounds checks —
-	// its indexing is guarded by the n < len(dst) condition alone.
+	// its indexing is guarded by the n < len(dst) condition alone. The
+	// replay kernel's two are the dense live table's ID indexing.
 	hotLoops := map[string]struct {
 		pkg, fn   string
 		maxBounds int
 	}{
 		"NextBatch": {"dmmkit/internal/trace", "(*binarySource2).NextBatch", 0},
-		"runBatch":  {"dmmkit/internal/trace", "runBatch", 2},
-		"runSlice":  {"dmmkit/internal/trace", "runSlice", 1},
+		"Apply":     {"dmmkit/internal/trace", "(*Replayer).Apply", 2},
 		"bestFit":   {"dmmkit/internal/alloc/lea", "(*Manager).bestFit", 1},
 	}
 	for name, want := range hotLoops {
@@ -110,6 +111,49 @@ func TestFastPathPins(t *testing.T) {
 			t.Errorf("%s: %d bounds checks in hot loop, budget is %d", name, f.HotBoundsChecks, want.maxBounds)
 		}
 	}
+
+	// The replay kernel's live table: the dense form's set and take must
+	// inline into the kernel, with only the hashed form called out of
+	// line. A prototype that called them lost 5-12% of Table 1 replay
+	// throughput.
+	inlined := inlinedInto(t, "dmmkit/internal/trace", "(*Replayer).Apply")
+	for _, fn := range []string{"(*liveTable).set", "(*liveTable).take"} {
+		if !inlined[fn] {
+			t.Errorf("trace.%s is no longer inlined into (*Replayer).Apply: %s",
+				fn, facts(t, inv, "dmmkit/internal/trace", fn).InlineReason)
+		}
+	}
+}
+
+// inlinedInto returns the callees the compiler inlines at call sites
+// inside fn of package pkg. It runs from the module root, as
+// measurePinned leaves the test.
+func inlinedInto(t *testing.T, pkg, fn string) map[string]bool {
+	t.Helper()
+	dirs, err := listPackages(pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := loadSrcMap(dirs, &Inventory{Packages: map[string]*PkgFacts{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture("-m", []string{pkg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inlined := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		m := diagRE.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		callee, ok := strings.CutPrefix(m[4], "inlining call to ")
+		if n, _ := strconv.Atoi(m[2]); ok && sm.funcAt(m[1], n) == fn {
+			inlined[callee] = true
+		}
+	}
+	return inlined
 }
 
 // TestBudgetMatchesTree is the gate run as a unit test: a fresh

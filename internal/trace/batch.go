@@ -85,3 +85,11 @@ func (s *sliceSource) NextBatch(dst []Event) (int, error) {
 	s.i += n
 	return n, nil
 }
+
+// batch is NextBatch without the copy: the next at most n events, as a
+// sub-slice of the trace.
+func (s *sliceSource) batch(n int) []Event {
+	b := s.t.Events[s.i:min(s.i+n, len(s.t.Events))]
+	s.i += len(b)
+	return b
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dmmkit/internal/heap"
 	"dmmkit/internal/mm"
@@ -45,21 +46,28 @@ type RunOpts struct {
 	SampleEvery int
 }
 
-// liveTable maps allocation IDs to payload addresses during replay.
-// Builder-generated traces use dense sequential IDs, so the table is a
-// flat slice indexed by ID, preallocated once from the trace's maximum ID
-// — no per-event map or slice allocation on the replay hot path. Sparse
-// (hand-written) traces fall back to a map. Address Nil marks a dead ID:
-// managers never hand out the nil address.
+// liveTable maps allocation IDs to payload addresses during replay. It
+// has two forms, and the source picks one. The in-memory source pre-scans
+// its events: a Builder trace has dense sequential IDs, so the table is a
+// flat slice indexed by ID, allocated once — no per-event hashing or
+// allocation. Every other source, and every replay snapshot, uses the
+// open-addressing mm.Table, whose size follows the live set rather than
+// the trace length (a dense snapshot would cost O(max ID) to clone).
+// Address Nil marks a dead ID: managers never hand out the nil address.
+//
+// set and take must stay inlinable into the replay kernel, with the
+// hashed form called out of line: the dense form is Table 1's fast path.
 type liveTable struct {
-	dense  []heap.Addr
-	sparse map[int64]heap.Addr
+	dense  []heap.Addr // nil selects the hashed form
+	hashed mm.Table
 }
 
-func newLiveTable(t *Trace) liveTable {
+// newLiveTable returns the dense form for events whose IDs index a slice
+// of modest size, and the hashed form otherwise.
+func newLiveTable(events []Event) liveTable {
 	maxID, minID := int64(-1), int64(0)
-	for i := range t.Events {
-		if id := t.Events[i].ID; id > maxID {
+	for i := range events {
+		if id := events[i].ID; id > maxID {
 			maxID = id
 		} else if id < minID {
 			minID = id
@@ -68,48 +76,144 @@ func newLiveTable(t *Trace) liveTable {
 	// A Builder trace has one alloc event per ID, so maxID+1 never
 	// exceeds the event count; tolerate mild sparseness beyond that.
 	// Negative IDs (possible only in hand-built in-memory traces — the
-	// binary decoders reject them) are not slice-indexable and force
-	// the map fallback.
-	if minID >= 0 && maxID < 2*int64(len(t.Events))+64 {
+	// binary decoders reject them) are not slice-indexable and force the
+	// hashed form.
+	if minID >= 0 && maxID < 2*int64(len(events))+64 {
 		return liveTable{dense: make([]heap.Addr, maxID+1)}
 	}
-	return liveTable{sparse: make(map[int64]heap.Addr, 256)}
+	return liveTable{}
 }
 
 func (lt *liveTable) set(id int64, p heap.Addr) {
-	if lt.dense != nil {
-		lt.dense[id] = p
-	} else {
-		lt.sparse[id] = p
+	if lt.dense == nil {
+		lt.hashed.Put(uint64(id), int64(p))
+		return
 	}
+	lt.dense[id] = p
 }
 
-// take returns the live address for id and forgets it; ok is false when id
-// is not live.
-func (lt *liveTable) take(id int64) (heap.Addr, bool) {
-	if lt.dense != nil {
-		if id < 0 || id >= int64(len(lt.dense)) || lt.dense[id] == heap.Nil {
-			return heap.Nil, false
+// take returns the live address for id and forgets it; Nil means id is
+// not live. The dense form needs no range check: the pre-scan sized it
+// for every ID its events name.
+func (lt *liveTable) take(id int64) (p heap.Addr) {
+	if lt.dense == nil {
+		return lt.takeHashed(id)
+	}
+	p, lt.dense[id] = lt.dense[id], heap.Nil
+	return p
+}
+
+// takeHashed is take's hashed form, kept out of line so that take itself
+// fits the inliner's budget.
+//
+//go:noinline
+func (lt *liveTable) takeHashed(id int64) heap.Addr {
+	p, _ := lt.hashed.Take(uint64(id))
+	return heap.Addr(p)
+}
+
+func (lt *liveTable) clone() liveTable {
+	return liveTable{dense: slices.Clone(lt.dense), hashed: lt.hashed.Clone()}
+}
+
+// Replayer is the replay kernel: the one place trace events turn into
+// Manager calls. It holds the manager, the live table, the running
+// Result and the global index of the next event; Apply feeds it a batch.
+// RunSource, replay.Build and the replay shards are drivers around it,
+// each fetching batches its own way.
+type Replayer struct {
+	m    mm.Manager
+	live liveTable
+	res  Result
+	next int // global index of the next event
+	opts RunOpts
+}
+
+// NewReplayer returns a kernel replaying the trace named name against m
+// from its first event, with the hashed live table.
+func NewReplayer(m mm.Manager, name string, opts RunOpts) *Replayer {
+	return &Replayer{m: m, res: Result{Manager: m.Name(), TraceName: name}, opts: opts}
+}
+
+// Apply replays events, the next len(events) events of the trace, in
+// order. On error the replayer's state is undefined; the error names the
+// trace, the manager and the global event index.
+func (r *Replayer) Apply(events []Event) error {
+	m, every := r.m, r.opts.SampleEvery
+	//dmm:hotloop
+	for k := range events {
+		e := &events[k]
+		switch e.Kind {
+		case KindAlloc:
+			p, err := m.Alloc(mm.Request{Size: e.Size, Tag: int(e.Tag), Phase: int(e.Phase)})
+			if err != nil {
+				return r.fail(k, fmt.Errorf("alloc %d bytes: %w", e.Size, err))
+			}
+			r.live.set(e.ID, p)
+		case KindFree:
+			p := r.live.take(e.ID)
+			if p == heap.Nil {
+				return r.fail(k, fmt.Errorf("free of unknown id %d", e.ID))
+			}
+			if err := m.Free(p); err != nil {
+				return r.fail(k, fmt.Errorf("free id %d: %w", e.ID, err))
+			}
+		default:
+			return r.fail(k, fmt.Errorf("bad kind %d", e.Kind))
 		}
-		p := lt.dense[id]
-		lt.dense[id] = heap.Nil
-		return p, true
+		if every > 0 && (r.next+k)%every == 0 {
+			r.res.Series = append(r.res.Series, Point{
+				Index: r.next + k, Tick: e.Tick, Footprint: m.Footprint(), Live: m.Stats().LiveBytes,
+			})
+		}
 	}
-	p, ok := lt.sparse[id]
-	if ok {
-		delete(lt.sparse, id)
-	}
-	return p, ok
+	r.next += len(events)
+	r.res.Events += len(events)
+	return nil
 }
 
-// cancelCheckMask batches context checks on the replay hot path: the
-// context is polled once every 4096 events, bounding both the polling
-// cost (one atomic load per batch) and the cancellation latency.
-const cancelCheckMask = 4096 - 1
+// fail wraps err with the trace, the manager and the global index of the
+// k-th event of the batch being applied; outside Apply, k = 0 names the
+// next event.
+func (r *Replayer) fail(k int, err error) error {
+	return fmt.Errorf("replay %q on %s: event %d: %w", r.res.TraceName, r.res.Manager, r.next+k, err)
+}
+
+// Fork returns an independent replayer continuing from r's position: a
+// clone of the manager, which must implement mm.Cloner, and of the live
+// table, with an empty Result sampled under opts.
+func (r *Replayer) Fork(opts RunOpts) (*Replayer, error) {
+	cl, ok := r.m.(mm.Cloner)
+	if !ok {
+		return nil, fmt.Errorf("manager %s does not support cloning", r.m.Name())
+	}
+	m, err := cl.CloneManager()
+	if err != nil {
+		return nil, err
+	}
+	f := NewReplayer(m, r.res.TraceName, opts)
+	f.live, f.next = r.live.clone(), r.next
+	return f, nil
+}
+
+// Manager returns the manager the replayer drives.
+func (r *Replayer) Manager() mm.Manager { return r.m }
+
+// Result returns the events replayed so far with the manager's current
+// end-of-replay statistics.
+func (r *Replayer) Result() Result {
+	res := r.res
+	res.MaxFootprint = r.m.MaxFootprint()
+	res.Final = r.m.Footprint()
+	res.Stats = r.m.Stats()
+	res.MaxLive = res.Stats.MaxLive
+	res.Work = res.Stats.Work
+	return res
+}
 
 // Run replays a trace against a manager, returning footprint statistics.
 // The manager is used as-is (callers Reset or construct fresh managers for
-// independent runs). Cancelling ctx stops the replay between events and
+// independent runs). Cancelling ctx stops the replay between batches and
 // returns the context's error; a nil ctx is treated as context.Background.
 //
 // Run is the in-memory form of RunSource: the two produce identical
@@ -131,185 +235,40 @@ func RunSource(ctx context.Context, m mm.Manager, src Source, opts RunOpts) (Res
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The in-memory source takes the fast path: direct slice iteration
-	// with the preallocated dense live table, no per-event interface
-	// call. True streams use a live-set-bounded sparse table, since a
-	// dense table indexed by allocation ID would grow with the trace
-	// length.
-	if ss, ok := src.(*sliceSource); ok {
-		return runSlice(ctx, m, ss, opts)
-	}
-	// Sources that can fill an event buffer in bulk (the DMMT2 decoder,
-	// wrapped in-memory sources) take the batched loop: same semantics,
-	// one interface call per ~1024 events instead of one per event.
-	if bs, ok := src.(BatchSource); ok {
-		return runBatch(ctx, m, bs, opts)
-	}
-	addrs := liveTable{sparse: make(map[int64]heap.Addr, 256)}
 	defer Close(src)
-	name := src.Name()
-	res := Result{Manager: m.Name(), TraceName: name}
-	for i := 0; ; i++ {
-		if i&cancelCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return res, fmt.Errorf("replay %q on %s: event %d: %w", name, m.Name(), i, err)
-			}
-		}
-		e, ok, err := src.Next()
-		if err != nil {
-			return res, fmt.Errorf("replay %q on %s: event %d: %w", name, m.Name(), i, err)
-		}
-		if !ok {
-			break
-		}
-		res.Events++
-		switch e.Kind {
-		case KindAlloc:
-			p, err := m.Alloc(mm.Request{Size: e.Size, Tag: int(e.Tag), Phase: int(e.Phase)})
-			if err != nil {
-				return res, fmt.Errorf("replay %q on %s: event %d: alloc %d bytes: %w", name, m.Name(), i, e.Size, err)
-			}
-			addrs.set(e.ID, p)
-		case KindFree:
-			p, ok := addrs.take(e.ID)
-			if !ok {
-				return res, fmt.Errorf("replay %q on %s: event %d: free of unknown id %d", name, m.Name(), i, e.ID)
-			}
-			if err := m.Free(p); err != nil {
-				return res, fmt.Errorf("replay %q on %s: event %d: free id %d: %w", name, m.Name(), i, e.ID, err)
-			}
-		default:
-			return res, fmt.Errorf("replay %q: event %d: bad kind %d", name, i, e.Kind)
-		}
-		if opts.SampleEvery > 0 && i%opts.SampleEvery == 0 {
-			res.Series = append(res.Series, Point{
-				Index: i, Tick: e.Tick, Footprint: m.Footprint(), Live: m.Stats().LiveBytes,
-			})
-		}
+	r := NewReplayer(m, src.Name(), opts)
+	// The in-memory source hands out zero-copy sub-slices of its events
+	// and keeps the dense live table; every other source fills a reused
+	// buffer, through NextBatch when it has one.
+	ss, inMem := src.(*sliceSource)
+	var buf []Event
+	if inMem {
+		r.live = newLiveTable(ss.t.Events[ss.i:])
+	} else {
+		buf = make([]Event, BatchLen)
 	}
-	finish(&res, m)
-	return res, nil
-}
-
-// runBatch is RunSource's bulk path: the source fills a reused event
-// buffer, and the replay iterates it by pointer — the streaming
-// equivalent of runSlice's dense loop, with the same live-set-bounded
-// sparse table as the generic loop. It must stay semantically identical
-// to the per-event loop above; the batch-vs-single differential tests
-// pin the two together.
-func runBatch(ctx context.Context, m mm.Manager, src BatchSource, opts RunOpts) (Result, error) {
-	addrs := liveTable{sparse: make(map[int64]heap.Addr, 256)}
-	defer Close(src)
-	name := src.Name()
-	res := Result{Manager: m.Name(), TraceName: name}
-	buf := make([]Event, BatchLen)
-	i := 0
 	for {
-		// One check per batch keeps the cancellation latency of the
-		// per-event loop (which polls every 4096 events) or better.
 		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("replay %q on %s: event %d: %w", name, m.Name(), i, err)
+			return r.res, r.fail(0, err)
 		}
-		n, berr := src.NextBatch(buf)
-		//dmm:hotloop
-		for k := 0; k < n; k++ {
-			e := &buf[k]
-			res.Events++
-			switch e.Kind {
-			case KindAlloc:
-				p, err := m.Alloc(mm.Request{Size: e.Size, Tag: int(e.Tag), Phase: int(e.Phase)})
-				if err != nil {
-					return res, fmt.Errorf("replay %q on %s: event %d: alloc %d bytes: %w", name, m.Name(), i, e.Size, err)
-				}
-				addrs.set(e.ID, p)
-			case KindFree:
-				p, ok := addrs.take(e.ID)
-				if !ok {
-					return res, fmt.Errorf("replay %q on %s: event %d: free of unknown id %d", name, m.Name(), i, e.ID)
-				}
-				if err := m.Free(p); err != nil {
-					return res, fmt.Errorf("replay %q on %s: event %d: free id %d: %w", name, m.Name(), i, e.ID, err)
-				}
-			default:
-				return res, fmt.Errorf("replay %q: event %d: bad kind %d", name, i, e.Kind)
-			}
-			if opts.SampleEvery > 0 && i%opts.SampleEvery == 0 {
-				res.Series = append(res.Series, Point{
-					Index: i, Tick: e.Tick, Footprint: m.Footprint(), Live: m.Stats().LiveBytes,
-				})
-			}
-			i++
+		var batch []Event
+		var berr error
+		if inMem {
+			batch = ss.batch(BatchLen)
+		} else {
+			n, err := ReadBatch(src, buf)
+			batch, berr = buf[:n], err
+		}
+		if err := r.Apply(batch); err != nil {
+			return r.res, err
 		}
 		if berr != nil {
 			// The events before the error replayed above, so the failing
-			// index matches the per-event loop's.
-			return res, fmt.Errorf("replay %q on %s: event %d: %w", name, m.Name(), i, berr)
+			// index is the first one the source could not produce.
+			return r.res, r.fail(0, berr)
 		}
-		if n == 0 {
-			break
-		}
-	}
-	finish(&res, m)
-	return res, nil
-}
-
-// runSlice is RunSource's in-memory fast path: it iterates the event
-// slice directly — pointer access, no per-event interface call or event
-// copy — with the dense live table preallocated from a pre-scan, exactly
-// the classic replay loop. It must stay semantically identical to the
-// streaming loop above; the streaming-vs-in-memory differential tests
-// pin the two together.
-func runSlice(ctx context.Context, m mm.Manager, ss *sliceSource, opts RunOpts) (Result, error) {
-	t := ss.t
-	events := t.Events[ss.i:]
-	ss.i = len(t.Events) // the pass consumes the source either way
-	addrs := newLiveTable(t)
-	res := Result{Manager: m.Name(), TraceName: t.Name}
-	if opts.SampleEvery > 0 {
-		res.Series = make([]Point, 0, len(events)/opts.SampleEvery+1)
-	}
-	//dmm:hotloop
-	for i := range events {
-		if i&cancelCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return res, fmt.Errorf("replay %q on %s: event %d: %w", t.Name, m.Name(), i, err)
-			}
-		}
-		e := &events[i]
-		res.Events++
-		switch e.Kind {
-		case KindAlloc:
-			p, err := m.Alloc(mm.Request{Size: e.Size, Tag: int(e.Tag), Phase: int(e.Phase)})
-			if err != nil {
-				return res, fmt.Errorf("replay %q on %s: event %d: alloc %d bytes: %w", t.Name, m.Name(), i, e.Size, err)
-			}
-			addrs.set(e.ID, p)
-		case KindFree:
-			p, ok := addrs.take(e.ID)
-			if !ok {
-				return res, fmt.Errorf("replay %q on %s: event %d: free of unknown id %d", t.Name, m.Name(), i, e.ID)
-			}
-			if err := m.Free(p); err != nil {
-				return res, fmt.Errorf("replay %q on %s: event %d: free id %d: %w", t.Name, m.Name(), i, e.ID, err)
-			}
-		default:
-			return res, fmt.Errorf("replay %q: event %d: bad kind %d", t.Name, i, e.Kind)
-		}
-		if opts.SampleEvery > 0 && i%opts.SampleEvery == 0 {
-			res.Series = append(res.Series, Point{
-				Index: i, Tick: e.Tick, Footprint: m.Footprint(), Live: m.Stats().LiveBytes,
-			})
+		if len(batch) == 0 {
+			return r.Result(), nil
 		}
 	}
-	finish(&res, m)
-	return res, nil
-}
-
-// finish fills the end-of-replay statistics common to both loops.
-func finish(res *Result, m mm.Manager) {
-	res.MaxFootprint = m.MaxFootprint()
-	res.Final = m.Footprint()
-	res.Stats = m.Stats()
-	res.MaxLive = res.Stats.MaxLive
-	res.Work = res.Stats.Work
 }

@@ -57,9 +57,9 @@ func (t *Trace) Source() Source { return &sliceSource{t: t} }
 // pass. It never fails and is safe for concurrent use.
 func (t *Trace) Open() (Source, error) { return t.Source(), nil }
 
-// sliceSource iterates a materialized trace. The replay engine recognizes
-// it and keeps the preallocated dense live-pointer table of the in-memory
-// fast path.
+// sliceSource iterates a materialized trace. RunSource recognizes it: the
+// replay kernel gets zero-copy sub-slices of the events (batch) and the
+// dense live-pointer table.
 type sliceSource struct {
 	t *Trace
 	i int
