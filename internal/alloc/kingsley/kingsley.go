@@ -47,7 +47,7 @@ func (m *Manager) setFreeHead(c int, b heap.Addr) {
 
 // New returns an empty Kingsley manager owning h.
 func New(h *heap.Heap) *Manager {
-	return &Manager{h: h, v: block.NewView(h, layout)}
+	return &Manager{h: h, v: block.NewView(h, layout), live: mm.NewShadow(h)}
 }
 
 // Name implements mm.Manager.

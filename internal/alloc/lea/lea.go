@@ -102,7 +102,7 @@ func (m *Manager) setLargeHead(i int, b heap.Addr) {
 // New returns an empty Lea manager owning h.
 func New(h *heap.Heap, cfg Config) *Manager {
 	cfg.defaults()
-	return &Manager{h: h, v: block.NewView(h, layout), cfg: cfg, mapped: make(map[heap.Addr]int64)}
+	return &Manager{h: h, v: block.NewView(h, layout), cfg: cfg, mapped: make(map[heap.Addr]int64), live: mm.NewShadow(h)}
 }
 
 // Name implements mm.Manager.
@@ -168,9 +168,9 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 }
 
 // lookupMapped checks the mmapped-block table, skipping the map probe
-// entirely in the common case of no live mapped blocks.
+// for every payload in the break region, where no mapped block lives.
 func (m *Manager) lookupMapped(p heap.Addr) (int64, bool) {
-	if len(m.mapped) == 0 {
+	if len(m.mapped) == 0 || m.h.InSbrkRegion(p) {
 		return 0, false
 	}
 	segGross, ok := m.mapped[p]

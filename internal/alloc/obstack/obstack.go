@@ -1,6 +1,8 @@
 package obstack
 
 import (
+	"sort"
+
 	"dmmkit/internal/heap"
 	"dmmkit/internal/mm"
 )
@@ -35,9 +37,11 @@ type Manager struct {
 	h         *heap.Heap
 	chunkSize int64
 	chunks    []chunk
-	objs      []object // allocation stack; index 0 is the oldest
-	index     map[heap.Addr]int
-	live      mm.Shadow
+	// objs is the allocation stack; index 0 is the oldest. It is sorted
+	// by payload address: objects bump upward within a chunk, a popped
+	// object's space is reused only once everything above it is gone,
+	// and the heap hands out every new chunk above the previous ones.
+	objs []object
 }
 
 // New returns an obstack manager owning h with the given chunk size
@@ -46,7 +50,7 @@ func New(h *heap.Heap, chunkSize int64) *Manager {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	return &Manager{h: h, chunkSize: chunkSize, index: make(map[heap.Addr]int)}
+	return &Manager{h: h, chunkSize: chunkSize}
 }
 
 // Name implements mm.Manager.
@@ -84,8 +88,6 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 	c.off += gross
 	m.Charge(mm.CostProbe + mm.CostHeader)
 	m.objs = append(m.objs, object{payload: p, size: req.Size, gross: gross, chunk: ci})
-	m.index[p] = len(m.objs) - 1
-	m.live.Add(p, req.Size)
 	m.NoteAlloc(req.Size, gross)
 	return p, nil
 }
@@ -94,22 +96,30 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 // out-of-order frees are deferred until the object becomes the top of the
 // stack.
 func (m *Manager) Free(p heap.Addr) error {
-	req, ok := m.live.Remove(p)
+	i, ok := m.find(p)
 	if !ok {
 		m.NoteFail()
 		return mm.ErrBadFree
 	}
-	i, ok := m.index[p]
-	if !ok || m.objs[i].dead {
-		m.NoteFail()
-		return mm.ErrBadFree
-	}
 	m.objs[i].dead = true
-	delete(m.index, p)
-	m.NoteFree(req, m.objs[i].gross)
+	m.NoteFree(m.objs[i].size, m.objs[i].gross)
 	m.Charge(mm.CostHeader)
 	m.pop()
 	return nil
+}
+
+// find returns the stack position of the live object at payload p,
+// trying the top of the stack first (obstack frees are mostly LIFO) and
+// otherwise binary-searching the address-sorted stack.
+func (m *Manager) find(p heap.Addr) (int, bool) {
+	i := len(m.objs) - 1
+	if i < 0 || m.objs[i].payload != p {
+		i = sort.Search(len(m.objs), func(j int) bool { return m.objs[j].payload >= p })
+	}
+	if i == len(m.objs) || m.objs[i].payload != p || m.objs[i].dead {
+		return 0, false
+	}
+	return i, true
 }
 
 // pop unwinds dead objects from the top of the stack, rolling back bump
@@ -153,8 +163,6 @@ func (m *Manager) Reset() {
 	m.h.Reset()
 	m.chunks = nil
 	m.objs = nil
-	m.index = make(map[heap.Addr]int)
-	m.live.Reset()
 	m.ResetStats()
 }
 
@@ -175,20 +183,12 @@ func (m *Manager) Depth() int { return len(m.objs) }
 
 // Clone returns a deep copy of the manager over a clone of its heap:
 // the copy and the original replay independently. Chunks and objects
-// are value types, so copying the slices suffices; the payload index
-// and shadow table are rebuilt as fresh copies.
+// are value types, so copying the slices suffices.
 func (m *Manager) Clone() *Manager {
 	n := *m
 	n.h = m.h.Clone()
 	n.chunks = append([]chunk(nil), m.chunks...)
 	n.objs = append([]object(nil), m.objs...)
-	if m.index != nil {
-		n.index = make(map[heap.Addr]int, len(m.index))
-		for k, v := range m.index {
-			n.index[k] = v
-		}
-	}
-	n.live = m.live.Clone()
 	return &n
 }
 

@@ -1,6 +1,8 @@
 package obstack
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 
 	"dmmkit/internal/alloctest"
@@ -167,5 +169,50 @@ func TestReset(t *testing.T) {
 	m.Reset()
 	if m.Footprint() != 0 || m.Depth() != 0 {
 		t.Error("Reset did not clear state")
+	}
+}
+
+// TestFreeFindsLiveObjectsOnly drives a random program of allocations,
+// frees in any order, double frees and wild frees, and checks against a
+// reference set of live payloads that Free succeeds exactly for live
+// ones: the address-sorted stack lookup must find every live object and
+// reject dead, interior and foreign addresses.
+func TestFreeFindsLiveObjectsOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := New(heap.New(heap.Config{}), 512)
+	live := map[heap.Addr]bool{}
+	var seen []heap.Addr
+	for i := 0; i < 20000; i++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			p, err := m.Alloc(mm.Request{Size: rng.Int63n(700) + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live[p] {
+				t.Fatalf("op %d: Alloc returned live payload %#x", i, p)
+			}
+			live[p] = true
+			seen = append(seen, p)
+		case len(seen) > 0:
+			p := seen[rng.Intn(len(seen))]
+			switch rng.Intn(4) {
+			case 0:
+				p += heap.Addr(rng.Intn(3)+1) * 4 // interior address
+			case 1:
+				p = seen[len(seen)-1] // the newest, often the stack top
+			}
+			err := m.Free(p)
+			if want := live[p]; (err == nil) != want {
+				t.Fatalf("op %d: Free(%#x) = %v, live %v", i, p, err, want)
+			}
+			if err != nil && !errors.Is(err, mm.ErrBadFree) {
+				t.Fatalf("op %d: Free(%#x) = %v, want ErrBadFree", i, p, err)
+			}
+			delete(live, p)
+		}
+		if got := m.Stats().LiveBlocks; got != int64(len(live)) {
+			t.Fatalf("op %d: LiveBlocks = %d, want %d", i, got, len(live))
+		}
 	}
 }

@@ -62,6 +62,7 @@ func New(h *heap.Heap, sizer Sizer) *Manager {
 		v:       block.NewView(h, layout),
 		sizer:   sizer,
 		regions: make(map[int]*regionState),
+		live:    mm.NewShadow(h),
 	}
 }
 

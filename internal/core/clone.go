@@ -4,49 +4,35 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 
-	"dmmkit/internal/heap"
 	"dmmkit/internal/mm"
 )
 
 // Clone returns a deep copy of the custom manager over a clone of its
 // heap: the copy and the original replay independently. Pools, keys,
-// the nonempty bitset, the out-of-band size/key tables and the shadow
-// table are deep-copied; the design vector, parameters and layout are
-// read-only after construction and shared.
+// the nonempty bitset, the out-of-band size/pool tables, the direct-block
+// map and the shadow table are deep-copied; the design vector, parameters
+// and layout are read-only after construction and shared.
 func (m *Custom) Clone() *Custom {
 	n := *m
 	n.h = m.h.Clone()
 	n.v.H = n.h
-	n.pools = make(map[poolKey]*pool, len(m.pools))
-	for k, p := range m.pools {
+	n.byID = make([]*pool, len(m.byID))
+	n.pools = make([]*pool, len(m.pools))
+	for id, p := range m.byID {
 		cp := *p
-		n.pools[k] = &cp
+		n.byID[id] = &cp
+		n.pools[cp.idx] = &cp
 	}
-	n.keys = append([]poolKey(nil), m.keys...)
+	n.keys = slices.Clone(m.keys)
 	n.ne = m.ne.Clone()
-	n.grossOf = cloneAddrMap(m.grossOf)
-	n.direct = cloneAddrMap(m.direct)
-	if m.freeKey != nil {
-		n.freeKey = make(map[heap.Addr]poolKey, len(m.freeKey))
-		for k, v := range m.freeKey {
-			n.freeKey[k] = v
-		}
-	}
+	n.grossOf = m.grossOf.Clone()
+	n.freeKey = m.freeKey.Clone()
+	n.direct = maps.Clone(m.direct)
 	n.live = m.live.Clone()
 	return &n
-}
-
-func cloneAddrMap(src map[heap.Addr]int64) map[heap.Addr]int64 {
-	if src == nil {
-		return nil
-	}
-	dst := make(map[heap.Addr]int64, len(src))
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
 }
 
 // CloneManager implements mm.Cloner.
@@ -57,29 +43,29 @@ func (m *Custom) CloneManager() (mm.Manager, error) { return m.Clone(), nil }
 func (m *Custom) StateChecksum() uint64 { return m.h.Checksum() }
 
 // CloneManager implements mm.Cloner for the phase-dispatching manager:
-// every atomic per-phase manager is cloned and the handle table is
-// remapped onto the clones, so the copy dispatches to its own managers,
-// never the original's. It fails if a child manager cannot be cloned
-// (BuildGlobal only installs Custom managers, which can).
+// every atomic per-phase manager is cloned and the handle slots, which
+// name managers by position, route to the clones, never the original's.
+// It fails if a child manager cannot be cloned (BuildGlobal only installs
+// Custom managers, which can).
 func (g *Global) CloneManager() (mm.Manager, error) {
 	n := &Global{
 		name:         g.name,
-		byPhase:      make(map[int]mm.Manager, len(g.byPhase)),
-		order:        append([]int(nil), g.order...),
-		handles:      make(map[heap.Addr]handleInfo, len(g.handles)),
-		nextHandle:   g.nextHandle,
+		order:        slices.Clone(g.order),
+		mgrs:         make([]mm.Manager, len(g.mgrs)),
+		slots:        slices.Clone(g.slots),
+		free:         slices.Clone(g.free),
 		maxFootprint: g.maxFootprint,
 		failed:       g.failed,
 	}
-	oldToNew := make(map[mm.Manager]mm.Manager, len(g.byPhase))
-	for _, ph := range g.order {
-		old := g.byPhase[ph]
+	oldToNew := make(map[mm.Manager]mm.Manager, len(g.mgrs))
+	for i, old := range g.mgrs {
 		// One manager may serve several phases; its clone must too, or
 		// the copy would split state the original shares.
 		if cm, ok := oldToNew[old]; ok {
-			n.byPhase[ph] = cm
+			n.mgrs[i] = cm
 			continue
 		}
+		ph := g.order[i]
 		c, ok := old.(mm.Cloner)
 		if !ok {
 			return nil, fmt.Errorf("core: %s: phase %d manager %s is not cloneable", g.name, ph, old.Name())
@@ -88,19 +74,16 @@ func (g *Global) CloneManager() (mm.Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: phase %d: %w", g.name, ph, err)
 		}
-		n.byPhase[ph] = cm
+		n.mgrs[i] = cm
 		oldToNew[old] = cm
-	}
-	for h, hi := range g.handles {
-		n.handles[h] = handleInfo{mgr: oldToNew[hi.mgr], real: hi.real}
 	}
 	return n, nil
 }
 
 // StateChecksum implements mm.Checksummer: the per-phase managers'
-// checksums in phase order, then the handle table (sorted by handle,
-// with each handle's manager identified by its phase, not its pointer,
-// so a clone and its original agree).
+// checksums in phase order, then every handle slot (its manager named by
+// phase, not pointer, so a clone and its original agree) and the free
+// slot stack, which decides the handles handed out next.
 func (g *Global) StateChecksum() uint64 {
 	sum := fnv.New64a()
 	var scratch [8]byte
@@ -108,26 +91,24 @@ func (g *Global) StateChecksum() uint64 {
 		binary.LittleEndian.PutUint64(scratch[:], v)
 		sum.Write(scratch[:])
 	}
-	phaseOf := make(map[mm.Manager]int, len(g.byPhase))
-	for _, ph := range g.order {
-		phaseOf[g.byPhase[ph]] = ph
+	for i, ph := range g.order {
 		word(uint64(int64(ph)))
-		if cs, ok := g.byPhase[ph].(mm.Checksummer); ok {
+		if cs, ok := g.mgrs[i].(mm.Checksummer); ok {
 			word(cs.StateChecksum())
 		}
 	}
-	handles := make([]heap.Addr, 0, len(g.handles))
-	for h := range g.handles {
-		handles = append(handles, h)
+	word(uint64(len(g.slots)))
+	for _, s := range g.slots {
+		if s.mgr < 0 {
+			word(^uint64(0))
+			continue
+		}
+		word(uint64(int64(g.order[s.mgr])))
+		word(uint64(s.real))
 	}
-	sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-	for _, h := range handles {
-		hi := g.handles[h]
-		word(uint64(h))
-		word(uint64(int64(phaseOf[hi.mgr])))
-		word(uint64(hi.real))
+	for _, s := range g.free {
+		word(uint64(s))
 	}
-	word(uint64(g.nextHandle))
 	word(uint64(g.failed))
 	return sum.Sum64()
 }

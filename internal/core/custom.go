@@ -25,8 +25,9 @@ type Custom struct {
 
 	tagged bool // layout carries in-band metadata (A3 != none)
 
-	pools map[poolKey]*pool
 	keys  []poolKey  // sorted by (phase, class)
+	pools []*pool    // parallel to keys
+	byID  []*pool    // indexed by pool id: creation order
 	ne    bitset.Set // bit per keys position, set iff that pool's head != Nil
 
 	top       heap.Addr // wilderness chunk (tagged variable managers)
@@ -35,9 +36,14 @@ type Custom struct {
 	phase int // current behavioural phase (B3)
 	frees int // frees since last deferred consolidation
 
-	grossOf map[heap.Addr]int64   // block sizes for untagged layouts
-	freeKey map[heap.Addr]poolKey // pool holding each binned free block
-	direct  map[heap.Addr]int64   // payload -> segment gross for direct blocks
+	// Out-of-band side tables, indexed by block address over the break
+	// region. grossOf holds untagged blocks' gross sizes in units of
+	// heap.Align; freeKey holds the id+1 of the pool each binned free
+	// block sits in. Direct blocks live in mapped segments and are rare,
+	// so they keep a map, consulted only for addresses outside the break.
+	grossOf mm.AddrMap
+	freeKey mm.AddrMap
+	direct  map[heap.Addr]int64 // payload -> segment gross for direct blocks
 	live    mm.Shadow
 
 	name string
@@ -53,6 +59,11 @@ func NewCustom(h *heap.Heap, vec dspace.Vector, par Params) (*Custom, error) {
 	if !sort.SliceIsSorted(par.ClassSizes, func(i, j int) bool { return par.ClassSizes[i] < par.ClassSizes[j] }) {
 		return nil, fmt.Errorf("core: ClassSizes must be ascending")
 	}
+	for _, s := range par.ClassSizes {
+		if s <= 0 || s%heap.Align != 0 {
+			return nil, fmt.Errorf("core: class size %d is not a positive multiple of %d", s, heap.Align)
+		}
+	}
 	lay := layoutFor(vec)
 	m := &Custom{
 		h:       h,
@@ -60,15 +71,13 @@ func NewCustom(h *heap.Heap, vec dspace.Vector, par Params) (*Custom, error) {
 		par:     par,
 		lay:     lay,
 		tagged:  lay.Tags != block.TagsNone,
-		pools:   make(map[poolKey]*pool),
-		freeKey: make(map[heap.Addr]poolKey),
+		grossOf: mm.NewAddrMap(h),
+		freeKey: mm.NewAddrMap(h),
 		direct:  make(map[heap.Addr]int64),
+		live:    mm.NewShadow(h),
 		name:    "Custom",
 	}
 	m.v = block.NewView(h, lay)
-	if !m.tagged {
-		m.grossOf = make(map[heap.Addr]int64)
-	}
 	return m, nil
 }
 
@@ -132,7 +141,18 @@ func (m *Custom) sizeOf(b heap.Addr) int64 {
 	if m.tagged {
 		return m.v.Size(b)
 	}
-	return m.grossOf[b]
+	units, _ := m.grossOf.Get(b)
+	return int64(units) * heap.Align
+}
+
+// invariant reports a corrupted manager state at address a: a bug,
+// never a property of the trace. The exploration engine records the
+// panic against the candidate's vector. It stays out of line so its
+// formatting never weighs on the hot paths that guard it.
+//
+//go:noinline
+func (m *Custom) invariant(a heap.Addr, problem string) {
+	panic(fmt.Sprintf("core: %s [%v]: %#x %s", m.name, m.vec, a, problem))
 }
 
 // isClassSize reports whether s is one of the configured class sizes.
@@ -277,8 +297,7 @@ func (m *Custom) Alloc(req mm.Request) (heap.Addr, error) {
 // is the gross size actually consumed.
 func (m *Custom) allocFromPools(phase int, class int64, gross int64) (heap.Addr, int64, bool) {
 	k := m.keyFor(phase, class)
-	try := func(key poolKey) (heap.Addr, int64, bool) {
-		pl := m.poolFor(key)
+	try := func(pl *pool) (heap.Addr, int64, bool) {
 		r := m.searchPool(pl, gross)
 		if !r.ok {
 			return heap.Nil, 0, false
@@ -291,7 +310,8 @@ func (m *Custom) allocFromPools(phase int, class int64, gross int64) (heap.Addr,
 		}
 		return r.b, have, true
 	}
-	if b, have, ok := try(k); ok {
+	own := m.poolFor(k)
+	if b, have, ok := try(own); ok {
 		return b, have, true
 	}
 	if m.vec.PoolRange == dspace.AnyRange || !m.canSplit() {
@@ -301,9 +321,10 @@ func (m *Custom) allocFromPools(phase int, class int64, gross int64) (heap.Addr,
 	// The nonempty bitset jumps straight to pools that hold blocks; the
 	// pools skipped over are charged exactly what the plain walk's
 	// poolFor lookups would have cost, so the work metric is unchanged.
-	// try(k) above created the pool for k, so keys[i0] == k.
-	i0 := sort.Search(len(m.keys), func(i int) bool { return !keyLess(m.keys[i], k) })
-	phaseEnd := sort.Search(len(m.keys), func(i int) bool { return m.keys[i].phase > k.phase })
+	// Class keys are nonnegative, so the next phase starts at the first
+	// key not below (phase+1, 0).
+	i0 := own.idx
+	phaseEnd := m.keyPos(poolKey{phase: k.phase + 1})
 	for cur := i0; ; {
 		j := m.ne.NextGE(cur)
 		if j < 0 || j >= phaseEnd {
@@ -316,7 +337,8 @@ func (m *Custom) allocFromPools(phase int, class int64, gross int64) (heap.Addr,
 			continue
 		}
 		m.chargeSkippedPools(cur, j, i0)
-		if b, have, ok := try(m.keys[j]); ok {
+		m.chargeLookup(j)
+		if b, have, ok := try(m.pools[j]); ok {
 			return b, have, true
 		}
 		cur = j + 1
@@ -405,13 +427,11 @@ func (m *Custom) refill(phase int, class int64, gross int64) (heap.Addr, int64, 
 	if m.heapStart == heap.Nil {
 		m.heapStart = start
 	}
-	k := m.keyFor(phase, class)
-	pl := m.poolFor(k)
+	pl := m.poolFor(m.keyFor(phase, class))
 	for i := n - 1; i >= 1; i-- {
 		b := start + heap.Addr(i*gross)
 		m.initBlock(b, gross, i > 0)
 		m.insertFree(pl, b)
-		m.freeKey[b] = k
 	}
 	m.initBlock(start, gross, false)
 	return start, gross, nil
@@ -421,7 +441,9 @@ func (m *Custom) refill(phase int, class int64, gross int64) (heap.Addr, int64, 
 // block. prevFree hints the prevUsed bit for layouts that track status.
 func (m *Custom) initBlock(b heap.Addr, gross int64, prevFree bool) {
 	if !m.tagged {
-		m.grossOf[b] = gross
+		if !m.grossOf.Put(b, uint32(gross/heap.Align)) {
+			m.invariant(b, "does not fit the partition table")
+		}
 		return
 	}
 	m.v.SetHeader(b, gross, false, !prevFree)
@@ -506,19 +528,8 @@ func (m *Custom) Free(p heap.Addr) error {
 		m.NoteFail()
 		return mm.ErrBadFree
 	}
-	if segGross, isDirect := m.direct[p]; isDirect {
-		delete(m.direct, p)
-		base := p
-		if m.tagged {
-			base = m.v.Block(p)
-		}
-		if err := m.h.Unmap(base); err != nil {
-			m.NoteFail()
-			return err
-		}
-		m.Charge(mm.CostTrim)
-		m.NoteFree(req, segGross)
-		return nil
+	if !m.h.InSbrkRegion(p) {
+		return m.freeDirect(p, req)
 	}
 	var b heap.Addr
 	if m.tagged {
@@ -556,6 +567,27 @@ func (m *Custom) Free(p heap.Addr) error {
 	return nil
 }
 
+// freeDirect returns a direct block's segment to the system. Only direct
+// blocks live outside the break region.
+func (m *Custom) freeDirect(p heap.Addr, req int64) error {
+	segGross, ok := m.direct[p]
+	if !ok {
+		m.invariant(p, "is live outside the break region but not a direct block")
+	}
+	delete(m.direct, p)
+	base := p
+	if m.tagged {
+		base = m.v.Block(p)
+	}
+	if err := m.h.Unmap(base); err != nil {
+		m.NoteFail()
+		return err
+	}
+	m.Charge(mm.CostTrim)
+	m.NoteFree(req, segGross)
+	return nil
+}
+
 // Footprint implements mm.Manager.
 func (m *Custom) Footprint() int64 { return m.h.Footprint() }
 
@@ -565,15 +597,12 @@ func (m *Custom) MaxFootprint() int64 { return m.h.MaxFootprint() }
 // Reset restores the manager and its heap to the initial state.
 func (m *Custom) Reset() {
 	m.h.Reset()
-	m.pools = make(map[poolKey]*pool)
-	m.keys = nil
+	m.keys, m.pools, m.byID = nil, nil, nil
 	m.ne.Reset()
-	m.freeKey = make(map[heap.Addr]poolKey)
+	m.freeKey.Reset()
 	m.top, m.heapStart = heap.Nil, heap.Nil
 	m.phase, m.frees = 0, 0
-	if m.grossOf != nil {
-		m.grossOf = make(map[heap.Addr]int64)
-	}
+	m.grossOf.Reset()
 	m.direct = make(map[heap.Addr]int64)
 	m.live.Reset()
 	m.ResetStats()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"dmmkit/internal/block"
 	"dmmkit/internal/dspace"
 	"dmmkit/internal/heap"
@@ -190,9 +192,7 @@ func (m *Custom) markNeighborOfFree(b heap.Addr, used bool) {
 func (m *Custom) binFree(b heap.Addr) {
 	gross := m.sizeOf(b)
 	k := m.keyFor(m.phaseOf(b), m.floorClass(gross))
-	pl := m.poolFor(k)
-	m.insertFree(pl, b)
-	m.freeKey[b] = k
+	m.insertFree(m.poolFor(k), b)
 }
 
 // setTop installs the wilderness chunk at b with the given size, keeping
@@ -280,9 +280,8 @@ func (m *Custom) deferFree(b heap.Addr) {
 // binning the results (dlmalloc's malloc_consolidate generalized to the
 // D2=deferred leaf).
 func (m *Custom) consolidate() {
-	keys := append([]poolKey(nil), m.keys...) // coalescing may add pools
-	for _, k := range keys {
-		pl := m.pools[k]
+	pools := slices.Clone(m.pools) // coalescing may add pools
+	for _, pl := range pools {
 		for b := pl.deferred; b != heap.Nil; {
 			next := m.nextFree(b)
 			m.Charge(mm.CostProbe)

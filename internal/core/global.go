@@ -16,21 +16,28 @@ import (
 // heaps, with the high-water mark taken over that sum (not the sum of
 // individual high-water marks, which would overestimate).
 type Global struct {
-	name    string
-	byPhase map[int]mm.Manager
-	order   []int // sorted phases, for deterministic reporting
+	name  string
+	order []int        // sorted phases, for deterministic reporting
+	mgrs  []mm.Manager // the atomic manager of each phase, parallel to order
 
-	handles    map[heap.Addr]handleInfo
-	nextHandle heap.Addr
+	// Handle h names slot h/8-1; freed slots are reused last-in first-out.
+	slots []handleSlot
+	free  []int32
 
 	maxFootprint int64
 	failed       int64
 }
 
-type handleInfo struct {
-	mgr  mm.Manager
+// handleSlot is one handle's route: the atomic manager (a position in
+// mgrs, or -1 while the slot is free) and the address it returned.
+type handleSlot struct {
 	real heap.Addr
+	mgr  int32
 }
+
+// handleStride spaces handles like aligned payload addresses; handle 0
+// stays heap.Nil.
+const handleStride = 8
 
 // NewGlobal composes a global manager from per-phase atomic managers.
 // Requests whose phase has no dedicated manager fall back to the lowest
@@ -39,16 +46,14 @@ func NewGlobal(name string, byPhase map[int]mm.Manager) (*Global, error) {
 	if len(byPhase) == 0 {
 		return nil, fmt.Errorf("core: global manager needs at least one atomic manager")
 	}
-	g := &Global{
-		name:       name,
-		byPhase:    byPhase,
-		handles:    make(map[heap.Addr]handleInfo),
-		nextHandle: 8,
-	}
+	g := &Global{name: name}
 	for ph := range byPhase {
 		g.order = append(g.order, ph)
 	}
 	sort.Ints(g.order)
+	for _, ph := range g.order {
+		g.mgrs = append(g.mgrs, byPhase[ph])
+	}
 	return g, nil
 }
 
@@ -103,39 +108,51 @@ func BuildGlobal(name string, p *profile.Profile) (*Global, map[int]Design, erro
 // Name implements mm.Manager.
 func (g *Global) Name() string { return g.name }
 
-// managerFor returns the atomic manager for a phase, falling back to the
-// lowest phase.
-func (g *Global) managerFor(phase int) mm.Manager {
-	if m, ok := g.byPhase[phase]; ok {
-		return m
+// phaseIndex returns the position in order (and mgrs) of a phase; ok is
+// false, with position 0, when the phase has no dedicated manager, so
+// callers fall back to the lowest phase. Globals have a handful of
+// phases, so a scan beats any index.
+func (g *Global) phaseIndex(phase int) (i int, ok bool) {
+	for i, ph := range g.order {
+		if ph == phase {
+			return i, true
+		}
 	}
-	return g.byPhase[g.order[0]]
+	return 0, false
 }
 
 // Alloc implements mm.Manager. The returned address is an opaque handle.
 func (g *Global) Alloc(req mm.Request) (heap.Addr, error) {
-	m := g.managerFor(req.Phase)
-	p, err := m.Alloc(req)
+	i, _ := g.phaseIndex(req.Phase)
+	p, err := g.mgrs[i].Alloc(req)
 	if err != nil {
 		g.failed++
 		return heap.Nil, err
 	}
-	h := g.nextHandle
-	g.nextHandle += 8
-	g.handles[h] = handleInfo{mgr: m, real: p}
+	var s int32
+	if n := len(g.free); n > 0 {
+		s = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		s = int32(len(g.slots))
+		g.slots = append(g.slots, handleSlot{})
+	}
+	g.slots[s] = handleSlot{real: p, mgr: int32(i)}
 	g.bump()
-	return h, nil
+	return heap.Addr(s+1) * handleStride, nil
 }
 
 // Free implements mm.Manager.
 func (g *Global) Free(h heap.Addr) error {
-	hi, ok := g.handles[h]
-	if !ok {
+	s := int(h/handleStride) - 1
+	if h%handleStride != 0 || s < 0 || s >= len(g.slots) || g.slots[s].mgr < 0 {
 		g.failed++
 		return mm.ErrBadFree
 	}
-	delete(g.handles, h)
-	if err := hi.mgr.Free(hi.real); err != nil {
+	hs := g.slots[s]
+	g.slots[s].mgr = -1
+	g.free = append(g.free, int32(s))
+	if err := g.mgrs[hs.mgr].Free(hs.real); err != nil {
 		g.failed++
 		return err
 	}
@@ -152,8 +169,8 @@ func (g *Global) bump() {
 // Footprint implements mm.Manager: the sum over atomic managers.
 func (g *Global) Footprint() int64 {
 	var sum int64
-	for _, ph := range g.order {
-		sum += g.byPhase[ph].Footprint()
+	for _, m := range g.mgrs {
+		sum += m.Footprint()
 	}
 	return sum
 }
@@ -165,8 +182,8 @@ func (g *Global) MaxFootprint() int64 { return g.maxFootprint }
 // Stats implements mm.Manager by aggregating the atomic managers.
 func (g *Global) Stats() mm.Stats {
 	var s mm.Stats
-	for _, ph := range g.order {
-		as := g.byPhase[ph].Stats()
+	for _, m := range g.mgrs {
+		as := m.Stats()
 		s.Allocs += as.Allocs
 		s.Frees += as.Frees
 		s.FailedOps += as.FailedOps
@@ -183,20 +200,24 @@ func (g *Global) Stats() mm.Stats {
 }
 
 // Atomic returns the per-phase manager for inspection.
-func (g *Global) Atomic(phase int) mm.Manager { return g.byPhase[phase] }
+func (g *Global) Atomic(phase int) mm.Manager {
+	if i, ok := g.phaseIndex(phase); ok {
+		return g.mgrs[i]
+	}
+	return nil
+}
 
 // Phases returns the phases with dedicated atomic managers, ascending.
 func (g *Global) Phases() []int { return append([]int(nil), g.order...) }
 
 // Reset restores every atomic manager and the handle table.
 func (g *Global) Reset() {
-	for _, m := range g.byPhase {
+	for _, m := range g.mgrs {
 		if r, ok := m.(mm.Resetter); ok {
 			r.Reset()
 		}
 	}
-	g.handles = make(map[heap.Addr]handleInfo)
-	g.nextHandle = 8
+	g.slots, g.free = nil, nil
 	g.maxFootprint = 0
 	g.failed = 0
 }

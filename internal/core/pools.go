@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"dmmkit/internal/dspace"
 	"dmmkit/internal/heap"
@@ -19,8 +19,9 @@ type poolKey struct {
 // pool is one memory pool: an in-band free list plus the roving pointer
 // for next fit and the deferred-coalescing list (blocks freed but not yet
 // merged, still carrying their used bit, as dlmalloc's fastbins do).
-// idx is the pool's position in the sorted key slice (and in the nonempty
-// bitset that runs parallel to it).
+// idx is the pool's position in the sorted key slice (and in the pools
+// slice and nonempty bitset that run parallel to it); id is its stable
+// creation index, which the free-block side table records.
 type pool struct {
 	head, tail heap.Addr
 	count      int
@@ -28,34 +29,51 @@ type pool struct {
 	deferred   heap.Addr
 	nDeferred  int
 	idx        int
+	id         int
 }
 
 // poolFor returns (creating on demand) the pool for a key, charging the
-// B2 pool-structure lookup cost: constant for an array of pools, linear in
-// the pool position for a linked list of pools.
+// B2 pool-structure lookup cost.
 func (m *Custom) poolFor(k poolKey) *pool {
+	pos := m.keyPos(k)
+	m.chargeLookup(pos)
+	if pos < len(m.keys) && m.keys[pos] == k {
+		return m.pools[pos]
+	}
+	pl := &pool{idx: pos, id: len(m.byID)}
+	m.byID = append(m.byID, pl)
+	m.keys = slices.Insert(m.keys, pos, k)
+	m.pools = slices.Insert(m.pools, pos, pl)
+	for _, other := range m.pools[pos+1:] {
+		other.idx++
+	}
+	m.ne.InsertZero(pos)
+	return pl
+}
+
+// chargeLookup charges the B2 cost of finding the pool at key position
+// pos: constant for an array of pools, pos+1 probes for a linked list of
+// pools walked from its head.
+func (m *Custom) chargeLookup(pos int) {
 	if m.vec.PoolStruct == dspace.PoolArray {
 		m.Charge(mm.CostIndex)
 	} else {
-		pos := sort.Search(len(m.keys), func(i int) bool { return !keyLess(m.keys[i], k) })
 		m.ChargeN(mm.CostProbe, int64(pos)+1)
 	}
-	if pl, ok := m.pools[k]; ok {
-		return pl
-	}
-	i := sort.Search(len(m.keys), func(i int) bool { return !keyLess(m.keys[i], k) })
-	pl := &pool{idx: i}
-	for _, other := range m.pools {
-		if other.idx >= i {
-			other.idx++
+}
+
+// keyPos returns the position of the first key not below k.
+func (m *Custom) keyPos(k poolKey) int {
+	lo, hi := 0, len(m.keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keyLess(m.keys[mid], k) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	m.pools[k] = pl
-	m.keys = append(m.keys, poolKey{})
-	copy(m.keys[i+1:], m.keys[i:])
-	m.keys[i] = k
-	m.ne.InsertZero(i)
-	return pl
+	return lo
 }
 
 func keyLess(a, b poolKey) bool {
@@ -66,8 +84,11 @@ func keyLess(a, b poolKey) bool {
 }
 
 // insertFree places free block b (gross size known) into pool pl honouring
-// the A1 structure and C2 ordering decisions.
+// the A1 structure and C2 ordering decisions, and records pl as b's pool.
 func (m *Custom) insertFree(pl *pool, b heap.Addr) {
+	if !m.freeKey.Put(b, uint32(pl.id+1)) {
+		m.invariant(b, "is free but cannot be recorded in the pool table")
+	}
 	pl.count++
 	m.ne.Set(pl.idx)
 	m.Charge(mm.CostLink)
@@ -125,7 +146,7 @@ func (m *Custom) insertSorted(pl *pool, b heap.Addr, stop func(heap.Addr) bool) 
 // do.
 func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 	pl.count--
-	delete(m.freeKey, b)
+	m.freeKey.Take(b)
 	m.Charge(mm.CostUnlink)
 	if pl.rover == b {
 		pl.rover = m.nextFree(b)
@@ -161,14 +182,19 @@ func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 
 // unlinkKnownFree removes a binned block found by address (used when
 // coalescing absorbs a neighbour). The owning pool is recorded at bin
-// time; only doubly linked structures support address unlinking, which the
-// design-space constraints guarantee whenever coalescing is on.
+// time, and finding it is charged as a pool lookup; only doubly linked
+// structures support address unlinking, which the design-space
+// constraints guarantee whenever coalescing is on. A block that is free
+// in-band but recorded in no pool means the heap and the free lists
+// disagree: guessing a pool would corrupt the lists silently, so it is an
+// invariant failure.
 func (m *Custom) unlinkKnownFree(b heap.Addr) {
-	k, ok := m.freeKey[b]
+	id, ok := m.freeKey.Get(b)
 	if !ok {
-		k = m.keyFor(m.phaseOf(b), m.floorClass(m.sizeOf(b)))
+		m.invariant(b, "is free in-band but binned in no pool")
 	}
-	pl := m.poolFor(k)
+	pl := m.byID[id-1]
+	m.chargeLookup(pl.idx)
 	m.unlink(pl, b, heap.Nil)
 }
 

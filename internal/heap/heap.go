@@ -172,6 +172,10 @@ func (h *Heap) ShrinkBrk(n int64) error {
 // Brk returns the current program break.
 func (h *Heap) Brk() Addr { return h.brk }
 
+// SegBase returns the address where mapped segments start: the break
+// region lies below it.
+func (h *Heap) SegBase() Addr { return h.cfg.SegBase }
+
 // Map allocates an mmap-like segment of n bytes (rounded up to the page
 // size) outside the sbrk region and returns its base address.
 func (h *Heap) Map(n int64) (Addr, error) {

@@ -7,12 +7,25 @@ import (
 	"dmmkit/internal/heap"
 )
 
-// TestShadowDifferential drives the open-addressing shadow table and a
-// reference Go map through the same random operation sequence and checks
-// they agree after every step.
+// TestShadowDifferential drives the shadow table — both its zero value,
+// which hashes every entry, and a heap-backed one, which indexes
+// break-region entries through its page map — and a reference Go map
+// through the same random operation sequence and checks they agree after
+// every step.
 func TestShadowDifferential(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    Shadow
+	}{
+		{"table", Shadow{}},
+		{"pagemap", NewShadow(heap.New(heap.Config{}))},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testShadowDifferential(t, tc.s) })
+	}
+}
+
+func testShadowDifferential(t *testing.T, s Shadow) {
 	rng := rand.New(rand.NewSource(42))
-	var s Shadow
 	ref := make(map[heap.Addr]int64)
 	var keys []heap.Addr
 

@@ -12,9 +12,9 @@ import (
 // Fibonacci hashing on the high bits of a 64-bit multiply, which spreads
 // 8-aligned heap addresses and sequential allocation IDs alike (hashing
 // sequential IDs by their low bits makes linear probing pathological).
-// It is the one hash table on the replay path: Shadow keys it by payload
-// address, the trace replay kernel's live table by allocation ID. The
-// zero value is an empty table.
+// It keys the trace replay kernel's live table by allocation ID, and
+// holds the entries Shadow's page map refuses. The zero value is an empty
+// table.
 //
 // Key 0 marks an empty slot, so an entry under key 0 is held beside the
 // slots.
@@ -159,26 +159,78 @@ func (t *Table) grow() {
 // their requested sizes. Real embedded allocators keep no such table; it
 // exists so managers can report accurate LiveBytes statistics and reject
 // bad frees deterministically. It lives outside the simulated arena and is
-// deliberately NOT counted in any footprint figure. Every Alloc and Free
-// crosses it, so it is a Table rather than a Go map; payload addresses are
-// never heap.Nil, so its entries never take the table's key-0 side slot.
-type Shadow struct{ t Table }
+// deliberately NOT counted in any footprint figure.
+//
+// Every Alloc and Free crosses it, so it indexes rather than hashes: an
+// AddrMap over the heap's break region holds each payload's size+1, and a
+// Table holds only what the page map refuses — mapped-segment addresses,
+// a payload sharing its granule with a live neighbour 4 bytes away, and
+// sizes the page map cannot hold. Payload addresses are never heap.Nil,
+// so entries never take the table's key-0 side slot. The zero value keeps
+// everything in the table; NewShadow covers a heap's break region.
+type Shadow struct {
+	pages AddrMap
+	over  Table
+	low   int // over entries below the page map's limit: they may alias a page slot
+}
+
+// NewShadow returns an empty shadow whose page map covers h's break
+// region.
+func NewShadow(h *heap.Heap) Shadow { return Shadow{pages: NewAddrMap(h)} }
+
+// pageValue reports whether req fits the page map as req+1.
+func pageValue(req int64) bool { return req >= 0 && req < MaxAddrMapValue }
 
 // Add records a live payload address with its requested size.
-func (s *Shadow) Add(p heap.Addr, req int64) { s.t.Put(uint64(p), req) }
+func (s *Shadow) Add(p heap.Addr, req int64) {
+	if s.low == 0 && pageValue(req) && s.pages.Put(p, uint32(req+1)) {
+		return
+	}
+	s.addSlow(p, req)
+}
+
+// addSlow is Add when the table may hold p or the page map refused it.
+func (s *Shadow) addSlow(p heap.Addr, req int64) {
+	k := uint64(p)
+	if s.over.Has(k) {
+		s.over.Put(k, req)
+		return
+	}
+	if pageValue(req) && s.pages.Put(p, uint32(req+1)) {
+		return
+	}
+	s.pages.Take(p) // a live p re-added with a size the page map cannot hold
+	s.over.Put(k, req)
+	if p < s.pages.limit {
+		s.low++
+	}
+}
 
 // Remove forgets a payload address, returning its requested size. ok is
 // false when p is not live (bad or double free).
-func (s *Shadow) Remove(p heap.Addr) (req int64, ok bool) { return s.t.Take(uint64(p)) }
+func (s *Shadow) Remove(p heap.Addr) (req int64, ok bool) {
+	if v, ok := s.pages.Take(p); ok {
+		return int64(v) - 1, true
+	}
+	if req, ok = s.over.Take(uint64(p)); ok && p < s.pages.limit {
+		s.low--
+	}
+	return req, ok
+}
 
 // Contains reports whether p is live.
-func (s *Shadow) Contains(p heap.Addr) bool { return s.t.Has(uint64(p)) }
+func (s *Shadow) Contains(p heap.Addr) bool {
+	_, ok := s.pages.Get(p)
+	return ok || s.over.Has(uint64(p))
+}
 
 // Len returns the number of live blocks.
-func (s *Shadow) Len() int { return s.t.Len() }
+func (s *Shadow) Len() int { return s.pages.Len() + s.over.Len() }
 
-// Reset clears the shadow table.
-func (s *Shadow) Reset() { s.t.Reset() }
+// Reset clears the shadow table, keeping its range.
+func (s *Shadow) Reset() { *s = Shadow{pages: AddrMap{limit: s.pages.limit}} }
 
 // Clone returns an independent copy of the table.
-func (s *Shadow) Clone() Shadow { return Shadow{s.t.Clone()} }
+func (s *Shadow) Clone() Shadow {
+	return Shadow{pages: s.pages.Clone(), over: s.over.Clone(), low: s.low}
+}
