@@ -212,7 +212,7 @@ func main() {
 
 	// op is what the engine explores; traceLine describes it. An
 	// in-memory trace reports its event count up front, a streaming
-	// DMMT2 file may not (the count lives in its trailer). identityOf
+	// DMMT2 file does not (the count lives in its trailer). identityOf
 	// computes the trace identity a checkpoint pins — lazily, since
 	// hashing a large trace file is wasted work without -checkpoint.
 	var op dmmkit.TraceOpener
@@ -222,21 +222,13 @@ func main() {
 	}
 	switch {
 	case *tracePath != "":
-		op, err = dmmkit.OpenTrace(*tracePath)
+		f, err := dmmkit.OpenTraceFile(*tracePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dmmexplore: %v\n", err)
 			os.Exit(1)
 		}
-		switch t := op.(type) {
-		case *dmmkit.TraceFile:
-			if n := t.Events(); n >= 0 {
-				traceLine = fmt.Sprintf("%q (%d events, streamed from %s)", t.Name(), n, *tracePath)
-			} else {
-				traceLine = fmt.Sprintf("%q (streamed from %s)", t.Name(), *tracePath)
-			}
-		case *dmmkit.Trace:
-			traceLine = fmt.Sprintf("%q (%d events, live peak %d B)", t.Name, len(t.Events), t.MaxLiveBytes())
-		}
+		op = f
+		traceLine = fmt.Sprintf("%q (streamed from %s)", f.Name(), *tracePath)
 		identityOf = func() (dmmkit.TraceIdentity, error) { return dmmkit.TraceFileIdentity(*tracePath) }
 	case *workload != "":
 		tr, err := dmmkit.BuildWorkload(*workload, dmmkit.WorkloadOpts{Seed: *seed, Quick: *quick})

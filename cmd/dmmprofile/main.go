@@ -62,10 +62,10 @@ func main() {
 		// the live set (plus the profiler's lifetime samples) instead of
 		// the trace length. The context wrapper makes Ctrl-C fail the
 		// stream (closing the file) at the next event.
-		op, err := dmmkit.OpenTrace(*tracePath)
+		f, err := dmmkit.OpenTraceFile(*tracePath)
 		if err == nil {
 			var src dmmkit.TraceSource
-			if src, err = op.Open(); err == nil {
+			if src, err = f.Open(); err == nil {
 				p, err = dmmkit.ProfileSource(dmmkit.SourceWithContext(ctx, src))
 			}
 		}

@@ -1,16 +1,13 @@
-// Command dmmtrace generates the case-study allocation traces to files in
-// the binary or JSON trace format, for use with dmmprofile and dmmexplore.
+// Command dmmtrace generates the case-study allocation traces to DMMT2
+// trace files, for use with dmmprofile and dmmexplore.
 //
-// The default format is DMMT2, the streamable binary format: events are
-// piped to the output as the workload generates them, never materialized
-// as a slice (the workload's own simulation state is all that stays in
-// memory). The legacy DMMT1 format and JSON materialize the trace first.
-// "-o -" writes to stdout.
+// Events are piped to the output as the workload generates them, never
+// materialized as a slice (the workload's own simulation state is all
+// that stays in memory). "-o -" writes to stdout.
 //
 // Usage:
 //
 //	dmmtrace -workload drr -seed 3 -o drr3.trace
-//	dmmtrace -workload recon3d -format json -o recon.json
 //	dmmtrace -workload drr -o - | wc -c
 package main
 
@@ -43,7 +40,6 @@ func main() {
 		workload = flag.String("workload", "drr", "registered workload: "+strings.Join(dmmkit.Workloads(), ", "))
 		seed     = flag.Int64("seed", 1, "workload seed")
 		quick    = flag.Bool("quick", false, "reduced workload configuration")
-		format   = flag.String("format", "binary", "binary (DMMT2, streamed), binary1 (legacy DMMT1) or json")
 		out      = flag.String("o", "", "output file; - for stdout (default <workload><seed>.trace)")
 	)
 	flag.Parse()
@@ -53,12 +49,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	switch *format {
-	case "binary", "binary1", "json":
-	default:
-		fmt.Fprintf(os.Stderr, "dmmtrace: unknown format %q (binary, binary1, json)\n", *format)
-		os.Exit(2)
-	}
 	// Validate the workload name before creating the output file, so a
 	// usage error neither creates nor clobbers anything.
 	known := false
@@ -97,38 +87,23 @@ func main() {
 	}
 	defer closeOut()
 
-	wopts := dmmkit.WorkloadOpts{Seed: *seed, Quick: *quick}
-	stats := &dmmkit.TraceStats{}
-	if *format == "binary" {
-		// Streaming: the encoder is the workload's event sink, so the
-		// trace goes straight to disk without being materialized. The
-		// context wrapper turns a Ctrl-C into a failed write, which the
-		// builder latches and BuildWorkload reports.
-		stats.Sink = dmmkit.NewTraceEncoder(f)
-		wopts.Sink = dmmkit.SinkWithContext(ctx, stats)
-	}
-
-	tr, err := dmmkit.BuildWorkload(*workload, wopts)
+	// The encoder is the workload's event sink, so the trace goes
+	// straight to disk without being materialized. The context wrapper
+	// turns a Ctrl-C into a failed write, which the builder latches and
+	// BuildWorkload reports.
+	enc := dmmkit.NewTraceEncoder(f)
+	stats := &dmmkit.TraceStats{Sink: enc}
+	tr, err := dmmkit.BuildWorkload(*workload, dmmkit.WorkloadOpts{
+		Seed: *seed, Quick: *quick, Sink: dmmkit.SinkWithContext(ctx, stats),
+	})
 	if err != nil {
 		fail(err, removePath)
 	}
-
-	events, peakLive := len(tr.Events), tr.MaxLiveBytes()
-	switch *format {
-	case "binary":
-		err = stats.Sink.(*dmmkit.TraceEncoder).Close()
-		events, peakLive = stats.Events(), stats.MaxLiveBytes()
-	case "binary1":
-		err = tr.EncodeBinary(f)
-	case "json":
-		err = tr.EncodeJSON(f)
-	}
-	// The materialized formats have no streaming cancellation point; a
-	// Ctrl-C that arrived during generation or encoding still removes
-	// the partial output via the joined context error.
-	if err = errors.Join(err, ctx.Err(), closeOut()); err != nil {
+	// A Ctrl-C after the last event still removes the output via the
+	// joined context error.
+	if err = errors.Join(enc.Close(), ctx.Err(), closeOut()); err != nil {
 		fail(fmt.Errorf("encoding: %w", err), removePath)
 	}
 	fmt.Fprintf(os.Stderr, "%s: %d events, peak live %d bytes -> %s\n",
-		tr.Name, events, peakLive, path)
+		tr.Name, stats.Events(), stats.MaxLiveBytes(), path)
 }

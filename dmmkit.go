@@ -37,7 +37,6 @@ package dmmkit
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -121,7 +120,7 @@ type (
 	// TraceOpener yields independent streaming passes over one logical
 	// trace (*Trace and *TraceFile implement it).
 	TraceOpener = trace.Opener
-	// TraceFile is a TraceOpener over an on-disk binary trace.
+	// TraceFile is a TraceOpener over an on-disk DMMT2 trace.
 	TraceFile = trace.File
 	// TraceEncoder writes the streamable DMMT2 binary format; it is an
 	// EventSink, so generation can pipe straight to disk.
@@ -238,22 +237,9 @@ func ProfileSource(src TraceSource) (*AppProfile, error) { return profile.FromSo
 // then Close. See OpenTraceFile / LoadTrace for reading the file back.
 func NewTraceEncoder(w io.Writer) *TraceEncoder { return trace.NewEncoder(w) }
 
-// OpenTraceFile probes a binary trace file (DMMT1 or DMMT2) and returns a
-// TraceOpener whose every Open streams the file from disk with O(live-set)
-// replay memory. JSON traces have no streaming decoder; use LoadTrace.
+// OpenTraceFile probes a DMMT2 trace file and returns a TraceOpener whose
+// every Open streams the file from disk with O(live-set) replay memory.
 func OpenTraceFile(path string) (*TraceFile, error) { return trace.OpenFile(path) }
-
-// OpenTrace returns a replayable source for a trace file of any format:
-// binary traces (DMMT1/DMMT2) stream from disk out-of-core, JSON traces
-// are materialized in memory and validated. Use it where either a *Trace
-// or a *TraceFile is acceptable (Engine.ExploreSource, the CLIs' -trace
-// flag).
-func OpenTrace(path string) (TraceOpener, error) {
-	if f, err := trace.OpenFile(path); err == nil {
-		return f, nil
-	}
-	return LoadTrace(path)
-}
 
 // Exploration types.
 type (
@@ -368,39 +354,24 @@ func BestByFootprint(cands []Candidate) (Candidate, bool) { return core.BestByFo
 // NewTraceBuilder returns a builder for a named trace.
 func NewTraceBuilder(name string) *TraceBuilder { return trace.NewBuilder(name) }
 
-// LoadTrace reads a trace file written by the dmmtrace tool or the
-// Encode methods, accepting the binary formats (DMMT1 and DMMT2) and the
-// JSON format, and validates the result (frees must match live
+// LoadTrace reads a DMMT2 trace file written by the dmmtrace tool or a
+// TraceEncoder into memory and validates it (frees must match live
 // allocations, sizes must be positive), so a corrupt or hand-damaged file
-// fails at load instead of mid-replay. When the file parses as neither
-// format, the returned error carries both decoders' failures (a corrupt
-// binary trace would otherwise surface only as a misleading JSON syntax
-// error).
+// fails at load instead of mid-replay.
 func LoadTrace(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = f.Close() }() // read path: a close failure after a full decode is moot
-	t, binErr := trace.DecodeBinary(f)
-	if binErr == nil {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		return t, nil
+	t, err := trace.DecodeBinary(f)
+	if err != nil {
+		return nil, fmt.Errorf("dmmkit: %s: %w", path, err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	t, jsonErr := trace.DecodeJSON(f)
-	if jsonErr == nil {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	return nil, fmt.Errorf("dmmkit: %s is neither a binary nor a JSON trace: %w",
-		path, errors.Join(binErr, jsonErr))
+	return t, nil
 }
 
 // DRRTrace generates the Deficit-Round-Robin case study's allocation

@@ -3,7 +3,9 @@ package dmmkit_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -105,7 +107,7 @@ func TestLoadTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.EncodeBinary(f); err != nil {
+	if err := tr.EncodeBinary2(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -113,35 +115,19 @@ func TestLoadTraceRoundTrip(t *testing.T) {
 	}
 	got, err := dmmkit.LoadTrace(binPath)
 	if err != nil {
-		t.Fatalf("LoadTrace(binary): %v", err)
+		t.Fatalf("LoadTrace: %v", err)
 	}
 	if len(got.Events) != 2 {
 		t.Errorf("loaded %d events, want 2", len(got.Events))
-	}
-
-	jsonPath := filepath.Join(dir, "t.json")
-	f, err = os.Create(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.EncodeJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err = dmmkit.LoadTrace(jsonPath)
-	if err != nil {
-		t.Fatalf("LoadTrace(json): %v", err)
 	}
 	if got.Name != "file" {
 		t.Errorf("loaded name %q", got.Name)
 	}
 }
 
-// TestLoadTraceCorruptBinaryReportsBothErrors exercises the errors.Join
-// path: a truncated binary trace must surface the binary decoder's
-// failure, not just the (misleading) JSON error from the fallback.
+// TestLoadTraceCorruptBinaryReportsBothErrors: a truncated trace fails
+// with an error that reports both the decoder's failure and the path of
+// the file it was reading.
 func TestLoadTraceCorruptBinaryReportsBothErrors(t *testing.T) {
 	dir := t.TempDir()
 	b := dmmkit.NewTraceBuilder("trunc")
@@ -154,11 +140,11 @@ func TestLoadTraceCorruptBinaryReportsBothErrors(t *testing.T) {
 	}
 	tr := b.Build()
 	var buf bytes.Buffer
-	if err := tr.EncodeBinary(&buf); err != nil {
+	if err := tr.EncodeBinary2(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Cut the file mid-events: the magic still matches, so this is a
-	// corrupt binary trace, not a JSON file.
+	// Cut the file mid-events: the header still parses, so the failure
+	// comes from the event decoder.
 	truncated := buf.Bytes()[:buf.Len()/2]
 	path := filepath.Join(dir, "trunc.trace")
 	if err := os.WriteFile(path, truncated, 0o644); err != nil {
@@ -166,14 +152,13 @@ func TestLoadTraceCorruptBinaryReportsBothErrors(t *testing.T) {
 	}
 	_, err := dmmkit.LoadTrace(path)
 	if err == nil {
-		t.Fatal("LoadTrace accepted a truncated binary trace")
+		t.Fatal("LoadTrace accepted a truncated trace")
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, "trace: event") && !strings.Contains(msg, "EOF") {
-		t.Errorf("error does not mention the binary decoder's failure: %v", err)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("error does not carry the decoder's truncation failure: %v", err)
 	}
-	if !strings.Contains(msg, "invalid character") {
-		t.Errorf("error does not mention the JSON decoder's failure: %v", err)
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error does not name the file %s: %v", path, err)
 	}
 }
 

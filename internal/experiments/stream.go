@@ -46,7 +46,6 @@ type StreamResult struct {
 	PeakLive   int64 // peak concurrently requested bytes
 	EventBytes int64 // what the materialized event slice occupies
 	FileBytes  int64 // the DMMT2 file on disk
-	DMMT1Bytes int64 // the same trace in the legacy format, for comparison
 
 	// Streaming-replay memory, measured around the first replayed
 	// manager: AllocBytes is everything allocated during the replay
@@ -68,14 +67,6 @@ func streamConfig(quick bool) drr.Config {
 	return drr.Config{Seed: 1, Net: netsim.Config{RateMbps: 50, Phases: 6, PhaseMs: 1000}}
 }
 
-// countingWriter measures an encoding without keeping it.
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
 // RunStream generates the trace, replays it through both paths and
 // verifies they agree; any disagreement is an error, so smoke runs fail
 // loudly instead of printing wrong numbers.
@@ -94,7 +85,7 @@ func RunStream(ctx context.Context, cfg Config) (*StreamResult, error) {
 		EventBytes: int64(len(tr.Events)) * int64(sizeOfEvent),
 	}
 
-	// The trace on disk, in both formats.
+	// The trace on disk.
 	f, err := os.CreateTemp("", "dmmkit-stream-*.trace")
 	if err != nil {
 		return nil, err
@@ -112,11 +103,6 @@ func RunStream(ctx context.Context, cfg Config) (*StreamResult, error) {
 		return nil, err
 	}
 	res.FileBytes = st.Size()
-	var cw countingWriter
-	if err := tr.EncodeBinary(&cw); err != nil {
-		return nil, err
-	}
-	res.DMMT1Bytes = cw.n
 
 	file, err := trace.OpenFile(f.Name())
 	if err != nil {
@@ -192,8 +178,8 @@ const sizeOfEvent = unsafe.Sizeof(trace.Event{})
 func WriteStream(w io.Writer, r *StreamResult) error {
 	fmt.Fprintf(w, "out-of-core replay of %q: %d events, peak live %s\n",
 		r.TraceName, r.Events, byteCount(r.PeakLive))
-	fmt.Fprintf(w, "sizes: events in memory %s, DMMT2 file %s (DMMT1 would be %s)\n",
-		byteCount(r.EventBytes), byteCount(r.FileBytes), byteCount(r.DMMT1Bytes))
+	fmt.Fprintf(w, "sizes: events in memory %s, DMMT2 file %s\n",
+		byteCount(r.EventBytes), byteCount(r.FileBytes))
 	fmt.Fprintf(w, "streaming replay heap: %s allocated, %s retained (vs %s to materialize)\n\n",
 		byteCount(int64(r.AllocBytes)), byteCount(r.LiveBytes), byteCount(r.EventBytes))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -123,7 +123,7 @@ type uploadResponse struct {
 	Events int `json:"events"`
 }
 
-// uploadTrace streams a DMMT2 (or DMMT1) trace body into the spool. The
+// uploadTrace streams a DMMT2 trace body into the spool. The
 // upload is decoded end to end — framing, varints, the CRC-32C trailer —
 // before it is given an ID; a failed or interrupted upload leaves no
 // partial file behind.

@@ -353,6 +353,53 @@ func TestUploadRejectsCorruptAndLeavesNoPartials(t *testing.T) {
 	env.upload(t, valid)
 }
 
+// TestUploadRequiresChecksum: a trace whose CRC-32C trailer was cut
+// off is rejected, and so is the same stream with one event changed —
+// without the checksum that corruption is well-formed and would
+// otherwise be stored. Neither leaves a file in the spool.
+func TestUploadRequiresChecksum(t *testing.T) {
+	env := newEnv(t, 1)
+	valid := traceBytes(t)
+	stripped := valid[:len(valid)-4]
+
+	// Locate the second event's last byte, its tick delta, from the
+	// decoder's resume point after it.
+	src, err := trace.DecodeBinarySource(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok, err := src.Next(); !ok || err != nil {
+			t.Fatalf("decoding event %d: %v", i, err)
+		}
+	}
+	tickDelta := src.(trace.Positioner).Pos().Off - 1
+	corrupt := bytes.Clone(stripped)
+	if corrupt[tickDelta] != 0x02 {
+		t.Fatalf("byte %d = %#x, want the zigzag tick delta 0x02", tickDelta, corrupt[tickDelta])
+	}
+	corrupt[tickDelta] = 0x04
+
+	for name, body := range map[string][]byte{"stripped": stripped, "corrupt": corrupt} {
+		resp, err := http.Post(env.ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close() // test teardown: body fully read above
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s upload: status %d (%s), want 400", name, resp.StatusCode, msg)
+		}
+	}
+	ents, err := os.ReadDir(env.spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		t.Errorf("spool not empty after rejected uploads: %s", e.Name())
+	}
+}
+
 // TestJobValidationOverHTTP pins the 4xx mapping and the CLI-identical
 // messages at the HTTP boundary.
 func TestJobValidationOverHTTP(t *testing.T) {

@@ -98,7 +98,7 @@ func TestFastPathPins(t *testing.T) {
 		pkg, fn   string
 		maxBounds int
 	}{
-		"NextBatch": {"dmmkit/internal/trace", "(*binarySource2).NextBatch", 0},
+		"NextBatch": {"dmmkit/internal/trace", "(*binarySource).NextBatch", 0},
 		"Apply":     {"dmmkit/internal/trace", "(*Replayer).Apply", 2},
 		"bestFit":   {"dmmkit/internal/alloc/lea", "(*Manager).bestFit", 1},
 	}

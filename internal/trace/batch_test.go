@@ -243,29 +243,6 @@ func TestPosOpenAt(t *testing.T) {
 	}
 }
 
-// TestOpenAtRejectsDMMT1 pins the version gate: mid-stream resume needs
-// the self-delimiting DMMT2 framing.
-func TestOpenAtRejectsDMMT1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sample.dmmt1")
-	fh, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sampleTrace().EncodeBinary(fh); err != nil {
-		t.Fatal(err)
-	}
-	if err := fh.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.OpenAt(Pos{}); err == nil {
-		t.Fatal("OpenAt accepted a DMMT1 file")
-	}
-}
-
 // FuzzNextBatch is the batch-path twin of FuzzDecodeBinary: over
 // arbitrary input, a NextBatch drain must agree with a Next drain on
 // verdict, event prefix and error text, at more than one buffer size.
@@ -308,10 +285,7 @@ func FuzzNextBatch(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			bs, ok := src.(BatchSource)
-			if !ok {
-				return // DMMT1 input: no batch path to compare
-			}
+			bs := src.(BatchSource)
 			var got []Event
 			var gotErr error
 			buf := make([]Event, size)

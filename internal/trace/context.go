@@ -5,15 +5,11 @@ import "context"
 // WithContext wraps src so its Next fails with the context's error once
 // ctx is cancelled — the hook that lets a CLI reading a multi-gigabyte
 // trace stop promptly on SIGINT instead of finishing the pass. The
-// wrapper forwards Name, Close and (when src knows its length) the
-// Sized extension; cancellation latches, and the underlying source is
-// closed when it fires so no handle outlives the abort.
+// wrapper forwards Name and Close; cancellation latches, and the
+// underlying source is closed when it fires so no handle outlives the
+// abort.
 func WithContext(ctx context.Context, src Source) Source {
-	cs := &contextSource{ctx: ctx, src: src}
-	if s, ok := src.(Sized); ok {
-		return &sizedContextSource{contextSource: cs, sized: s}
-	}
-	return cs
+	return &contextSource{ctx: ctx, src: src}
 }
 
 type contextSource struct {
@@ -58,15 +54,6 @@ func (s *contextSource) Close() error {
 	s.done = true
 	return Close(s.src)
 }
-
-// sizedContextSource adds the Sized extension when the wrapped source
-// has it, so preallocation hints survive the wrapping.
-type sizedContextSource struct {
-	*contextSource
-	sized Sized
-}
-
-func (s *sizedContextSource) EventCount() int { return s.sized.EventCount() }
 
 // SinkWithContext wraps sink so WriteEvent fails with the context's
 // error once ctx is cancelled — the write-side dual of WithContext, for

@@ -14,11 +14,6 @@ func TestWithContextCancelsStream(t *testing.T) {
 	if src.Name() != tr.Name {
 		t.Errorf("Name = %q, want %q", src.Name(), tr.Name)
 	}
-	if s, ok := src.(Sized); !ok {
-		t.Error("wrapper over a Sized source lost the Sized extension")
-	} else if s.EventCount() != len(tr.Events) {
-		t.Errorf("EventCount = %d, want %d", s.EventCount(), len(tr.Events))
-	}
 
 	if _, ok, err := src.Next(); !ok || err != nil {
 		t.Fatalf("first Next = %v, %v", ok, err)

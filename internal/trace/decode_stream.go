@@ -10,17 +10,19 @@ import (
 	"math"
 )
 
-// DecodeBinarySource returns a Source that decodes a binary trace (DMMT1
-// or DMMT2) from r event by event. The header is read eagerly — a file
-// that is not a binary trace fails here, not on the first Next — and
-// decoding then keeps O(1) memory beyond the read buffer, so replaying
-// straight off the source needs memory proportional to the application's
-// live set, not the trace length.
+// DecodeBinarySource returns a Source that decodes a DMMT2 trace from r
+// event by event. The header is read eagerly — a stream that is not a
+// DMMT2 trace fails here, not on the first Next — and decoding then
+// keeps O(1) memory beyond the read window, so replaying straight off
+// the source needs memory proportional to the application's live set,
+// not the trace length. The returned source is also a BatchSource and a
+// Positioner.
 //
 // The source validates events as it decodes them: ID and Size uvarints
 // above MaxInt64 (which would wrap to negative fields), zero allocation
-// sizes, and out-of-range Tag/Phase values are decode errors. It cannot
-// check cross-event properties (double frees surface as replay errors);
+// sizes, and out-of-range Tag/Phase values are decode errors, and the
+// stream must end with the trailer count and checksum. It cannot check
+// cross-event properties (double frees surface as replay errors);
 // callers that need a full Trace.Validate must materialize via
 // DecodeBinary.
 func DecodeBinarySource(r io.Reader) (Source, error) {
@@ -33,13 +35,7 @@ func DecodeBinarySource(r io.Reader) (Source, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	version := 0
-	switch string(magic) {
-	case binaryMagic1:
-		version = 1
-	case binaryMagic2:
-		version = 2
-	default:
+	if string(magic) != binaryMagic {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
 	nameLen, err := binary.ReadUvarint(br)
@@ -53,46 +49,25 @@ func DecodeBinarySource(r io.Reader) (Source, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
-	if version == 1 {
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading event count: %w", err)
-		}
-		if count > maxEventCount {
-			return nil, fmt.Errorf("trace: event count %d too large", count)
-		}
-		return &binarySource1{binarySource: binarySource{br: br, name: string(name)}, count: count}, nil
-	}
-	// The DMMT2 decoder reads from the buffered reader directly: the
-	// header's CRC accumulation carries over, and everything after it is
-	// decoded through the block window.
-	return &binarySource2{
-		binarySource: binarySource{name: string(name)},
-		r:            bufr,
-		buf:          make([]byte, batchWindow),
-		crc:          br.crc,
-		off:          int64(magicLen + uvarintLen(nameLen) + len(name)),
+	// The body is decoded from the buffered reader directly, through the
+	// block window; the header's CRC accumulation carries over.
+	return &binarySource{
+		name: string(name),
+		r:    bufr,
+		buf:  make([]byte, batchWindow),
+		crc:  br.crc,
+		off:  br.n,
 	}, nil
 }
 
-// uvarintLen returns the encoded size of v as an unsigned varint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// crcReader folds every byte it yields into a running CRC-32C, so the
-// DMMT2 decoder can verify the stream's trailing checksum without a
-// second pass. It implements io.Reader and io.ByteReader over the
-// buffered stream; the checksum trailer itself is read from the
-// underlying br directly, bypassing the accumulation.
+// crcReader reads the stream header: it folds every byte it yields into
+// a running CRC-32C, which the body decoder continues, and counts them,
+// which gives the body's stream offset. It implements io.Reader and
+// io.ByteReader over the buffered stream.
 type crcReader struct {
 	br  *bufio.Reader
 	crc uint32
+	n   int64
 	one [1]byte
 }
 
@@ -103,24 +78,58 @@ func (r *crcReader) ReadByte() (byte, error) {
 	}
 	r.one[0] = b
 	r.crc = crc32.Update(r.crc, castagnoli, r.one[:1])
+	r.n++
 	return b, nil
 }
 
 func (r *crcReader) Read(p []byte) (int, error) {
 	n, err := r.br.Read(p)
 	r.crc = crc32.Update(r.crc, castagnoli, p[:n])
+	r.n += int64(n)
 	return n, err
 }
 
-// binarySource holds the state the two format versions share.
+// batchWindow is the size of the DMMT2 decoder's read window. One block
+// read refills ~1300 events' worth of encoded bytes, so the per-event
+// cost is slice arithmetic, not reader calls.
+const batchWindow = 64 << 10
+
+// maxEventLen is the worst-case encoded size of one DMMT2 event: the
+// kind byte plus five maximal varints. When at least this many bytes
+// are windowed, a full event decodes without any length checks beyond
+// the varint decoders' own.
+const maxEventLen = 1 + 5*binary.MaxVarintLen64
+
+var errVarintOverflow = errors.New("trace: varint overflows 64 bits")
+
+// binarySource streams a DMMT2 body: zigzag varints for the signed
+// fields, then a 0xFF end marker followed by the event count, which
+// must match what was decoded (truncation check), and the CRC-32C of
+// every preceding byte (corruption check).
+//
+// It decodes from a block-buffered window — varints are read with
+// binary.Uvarint over the byte slice, and the running CRC-32C is folded
+// over consumed ranges chunk-at-a-time on refill — instead of paying an
+// interface call and a one-byte hash update per byte. The window makes
+// it a natural BatchSource; Next decodes one event from the same window
+// for consumers that need the one-event form.
 type binarySource struct {
-	br   *crcReader
-	name string
-	i    uint64 // events decoded so far
-	last int64  // previous event's tick
-	done bool
-	err  error     // latched: a corrupt stream stays corrupt
-	c    io.Closer // closed when the stream ends (see OpenFile)
+	name    string
+	r       *bufio.Reader
+	buf     []byte // read window
+	pos     int    // next undecoded byte in buf
+	lim     int    // buf[pos:lim] is read but not yet decoded
+	hashed  int    // bytes of buf already folded into crc (<= pos)
+	crc     uint32 // CRC-32C over every consumed byte, header included
+	off     int64  // stream offset of buf[0]
+	i       uint64 // events decoded so far
+	last    int64  // previous event's tick
+	eof     bool
+	pend    error // read error surfaced only after buffered events drain
+	skipCRC bool  // mid-stream pass: the prefix was never hashed
+	done    bool
+	err     error     // latched: a corrupt stream stays corrupt
+	c       io.Closer // closed when the stream ends (see OpenFile)
 }
 
 func (s *binarySource) Name() string { return s.name }
@@ -153,127 +162,10 @@ func (s *binarySource) Close() error {
 	return nil
 }
 
-// binarySource1 streams a DMMT1 body: the event count is known from the
-// header (so it implements Sized) and every field is an unsigned varint.
-// Negative Tag/Phase values arrive sign-extended to 64 bits; the decoder
-// accepts exactly the values the encoder can produce — plain int32 range
-// or full sign extension — and rejects anything that would silently
-// truncate.
-type binarySource1 struct {
-	binarySource
-	count uint64
-}
-
-func (s *binarySource1) EventCount() int { return int(s.count) }
-
-func (s *binarySource1) Next() (Event, bool, error) {
-	if s.done {
-		return Event{}, false, s.err
-	}
-	if s.i >= s.count {
-		return s.finish(nil)
-	}
-	kb, err := s.br.ReadByte()
-	if err != nil {
-		return s.finish(fmt.Errorf("trace: event %d: %w", s.i, err))
-	}
-	e := Event{Kind: Kind(kb)}
-	if e.Kind != KindAlloc && e.Kind != KindFree {
-		return s.finish(fmt.Errorf("trace: event %d: bad kind %d", s.i, kb))
-	}
-	id, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return s.finish(err)
-	}
-	if e.ID, err = checkID(s.i, id); err != nil {
-		return s.finish(err)
-	}
-	if e.Kind == KindAlloc {
-		size, err := binary.ReadUvarint(s.br)
-		if err != nil {
-			return s.finish(err)
-		}
-		if e.Size, err = checkSize(s.i, size); err != nil {
-			return s.finish(err)
-		}
-		tag, err := binary.ReadUvarint(s.br)
-		if err != nil {
-			return s.finish(err)
-		}
-		if e.Tag, err = checkWrapped32(s.i, "tag", tag); err != nil {
-			return s.finish(err)
-		}
-	}
-	phase, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return s.finish(err)
-	}
-	if e.Phase, err = checkWrapped32(s.i, "phase", phase); err != nil {
-		return s.finish(err)
-	}
-	dt, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return s.finish(err)
-	}
-	// Tick deltas wrap through two's complement in DMMT1, so a backward
-	// tick (encoded as a huge uvarint) decodes back to a negative delta.
-	e.Tick = s.last + int64(dt)
-	s.last = e.Tick
-	s.i++
-	return e, true, nil
-}
-
-// checkWrapped32 decodes a DMMT1 int32 field: the encoder widened the
-// value with sign extension, so valid encodings are exactly those where
-// truncating back to int32 and re-extending reproduces the input.
-func checkWrapped32(i uint64, field string, v uint64) (int32, error) {
-	if uint64(int64(int32(v))) != v {
-		return 0, fmt.Errorf("trace: event %d: %s %d overflows int32", i, field, v)
-	}
-	return int32(v), nil
-}
-
-// batchWindow is the size of the DMMT2 decoder's read window. One block
-// read refills ~1300 events' worth of encoded bytes, so the per-event
-// cost is slice arithmetic, not reader calls.
-const batchWindow = 64 << 10
-
-// maxEventLen is the worst-case encoded size of one DMMT2 event: the
-// kind byte plus five maximal varints. When at least this many bytes
-// are windowed, a full event decodes without any length checks beyond
-// the varint decoders' own.
-const maxEventLen = 1 + 5*binary.MaxVarintLen64
-
-var errVarintOverflow = errors.New("trace: varint overflows 64 bits")
-
-// binarySource2 streams a DMMT2 body: no up-front count, zigzag varints
-// for the signed fields, and a 0xFF end marker followed by the event
-// count, which must match what was decoded (truncation check).
-//
-// It decodes from a block-buffered window — varints are read with
-// binary.Uvarint over the byte slice, and the running CRC-32C is folded
-// over consumed ranges chunk-at-a-time on refill — instead of paying an
-// interface call and a one-byte hash update per byte. The window makes
-// it a natural BatchSource; Next decodes one event from the same window
-// for consumers that need the one-event form.
-type binarySource2 struct {
-	binarySource
-	r       *bufio.Reader
-	buf     []byte // read window
-	pos     int    // next undecoded byte in buf
-	lim     int    // buf[pos:lim] is read but not yet decoded
-	hashed  int    // bytes of buf already folded into crc (<= pos)
-	crc     uint32 // CRC-32C over every consumed byte, header included
-	off     int64  // stream offset of buf[0]
-	eof     bool
-	pend    error // read error surfaced only after buffered events drain
-	skipCRC bool  // mid-stream pass: the prefix was never hashed
-}
-
 // fill folds the consumed prefix into the CRC, slides the undecoded
 // tail to the front of the window, and reads until at least need bytes
 // are available or the stream ends (eof or a pending read error).
-func (s *binarySource2) fill(need int) {
+func (s *binarySource) fill(need int) {
 	if s.lim-s.pos >= need {
 		return
 	}
@@ -306,7 +198,7 @@ func (s *binarySource2) fill(need int) {
 // has ensured the window holds a full event or the final bytes of the
 // stream, so running out of bytes means truncation (or a pending read
 // error).
-func (s *binarySource2) uvarint() (uint64, error) {
+func (s *binarySource) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(s.buf[s.pos:s.lim])
 	if n > 0 {
 		s.pos += n
@@ -322,7 +214,7 @@ func (s *binarySource2) uvarint() (uint64, error) {
 }
 
 // varint is uvarint for the zigzag-encoded signed fields.
-func (s *binarySource2) varint() (int64, error) {
+func (s *binarySource) varint() (int64, error) {
 	v, n := binary.Varint(s.buf[s.pos:s.lim])
 	if n > 0 {
 		s.pos += n
@@ -340,7 +232,7 @@ func (s *binarySource2) varint() (int64, error) {
 // step decodes one event into e. ok false with a nil error is the clean
 // end of the stream (trailer count and checksum verified); ok false
 // with an error is terminal. The caller latches the terminal state.
-func (s *binarySource2) step(e *Event) (ok bool, err error) {
+func (s *binarySource) step(e *Event) (ok bool, err error) {
 	if s.lim-s.pos < maxEventLen && !s.eof && s.pend == nil {
 		s.fill(maxEventLen)
 	}
@@ -403,11 +295,9 @@ func (s *binarySource2) step(e *Event) (ok bool, err error) {
 }
 
 // trailer verifies the end of the stream: the event count must match
-// what was decoded, and the optional CRC-32C (which covers every byte
-// before it and never hashes itself) must match the running checksum.
-// Streams from releases that predate the checksum end at the count and
-// are accepted as-is.
-func (s *binarySource2) trailer() error {
+// what was decoded, and the CRC-32C (which covers every byte before it
+// and never hashes itself) must match the running checksum.
+func (s *binarySource) trailer() error {
 	count, err := s.uvarint()
 	if err != nil {
 		return fmt.Errorf("trace: reading trailer count: %w", err)
@@ -422,11 +312,7 @@ func (s *binarySource2) trailer() error {
 		s.hashed = s.pos
 	}
 	s.fill(crcLen)
-	avail := s.lim - s.pos
-	if avail == 0 && s.eof && s.pend == nil {
-		return nil // legacy stream without a checksum
-	}
-	if avail < crcLen {
+	if s.lim-s.pos < crcLen {
 		err := error(io.ErrUnexpectedEOF)
 		if s.pend != nil {
 			err = s.pend
@@ -442,7 +328,7 @@ func (s *binarySource2) trailer() error {
 	return nil
 }
 
-func (s *binarySource2) Next() (Event, bool, error) {
+func (s *binarySource) Next() (Event, bool, error) {
 	if s.done {
 		return Event{}, false, s.err
 	}
@@ -457,7 +343,7 @@ func (s *binarySource2) Next() (Event, bool, error) {
 // NextBatch implements BatchSource: it decodes events straight out of
 // the read window into dst. Events decoded before a terminal error are
 // returned alongside it.
-func (s *binarySource2) NextBatch(dst []Event) (int, error) {
+func (s *binarySource) NextBatch(dst []Event) (int, error) {
 	if s.done {
 		return 0, s.err
 	}
@@ -476,7 +362,7 @@ func (s *binarySource2) NextBatch(dst []Event) (int, error) {
 
 // Pos implements Positioner: it reports the resume point just before
 // the next undecoded event.
-func (s *binarySource2) Pos() Pos {
+func (s *binarySource) Pos() Pos {
 	return Pos{Off: s.off + int64(s.pos), Index: s.i, Tick: s.last}
 }
 
@@ -488,20 +374,16 @@ func checkInt32(i uint64, field string, v int64) (int32, error) {
 	return int32(v), nil
 }
 
-// File is an Opener over an on-disk binary trace: every Open starts an
+// File is an Opener over an on-disk DMMT2 trace: every Open starts an
 // independent streaming pass, so exploration can replay the file once
 // per candidate — concurrently — without ever materializing the events.
 type File struct {
-	path    string
-	name    string
-	events  int // -1 when the format does not record a count (DMMT2)
-	version int // 1 or 2, from the header probe
-	opts    FileOpts
+	path string
+	name string
+	opts FileOpts
 }
 
-// OpenFile probes path's header and returns a File. The file must be a
-// binary trace (DMMT1 or DMMT2); JSON traces have no streaming decoder —
-// load them fully instead. Transient open and probe failures (see
+// OpenFile probes path's header and returns a File. Transient open and probe failures (see
 // IsTransient) are retried under DefaultRetry — a long exploration
 // should not die to one interrupted syscall; use OpenFileWith to tune
 // or disable that.
@@ -513,7 +395,7 @@ func OpenFile(path string) (*File, error) {
 // os.Open (for every pass, not just the probe) and opts.Retry bounds
 // how transient failures are retried.
 func OpenFileWith(path string, opts FileOpts) (*File, error) {
-	f := &File{path: path, events: -1, opts: opts}
+	f := &File{path: path, opts: opts}
 	err := opts.Retry.retry(func() error {
 		fh, err := opts.open(path)
 		if err != nil {
@@ -525,12 +407,6 @@ func OpenFileWith(path string, opts FileOpts) (*File, error) {
 			return fmt.Errorf("trace: %s: %w", path, err)
 		}
 		f.name = src.Name()
-		f.events = -1
-		f.version = 2
-		if s, ok := src.(Sized); ok {
-			f.events = s.EventCount()
-			f.version = 1
-		}
 		return nil
 	})
 	if err != nil {
@@ -541,10 +417,6 @@ func OpenFileWith(path string, opts FileOpts) (*File, error) {
 
 // Name returns the trace name recorded in the file header.
 func (f *File) Name() string { return f.name }
-
-// Events returns the event count from the header, or -1 when the format
-// does not record one up front (DMMT2 stores it in the trailer).
-func (f *File) Events() int { return f.events }
 
 // Open implements Opener: it opens a fresh handle on the file and
 // returns a streaming source over it. The source closes the handle when
@@ -564,12 +436,7 @@ func (f *File) Open() (Source, error) {
 			_ = fh.Close() // the decode error is the one to surface
 			return fmt.Errorf("trace: %s: %w", f.path, err)
 		}
-		switch bs := s.(type) {
-		case *binarySource1:
-			bs.c = fh
-		case *binarySource2:
-			bs.c = fh
-		}
+		s.(*binarySource).c = fh
 		src = s
 		return nil
 	})
@@ -579,7 +446,7 @@ func (f *File) Open() (Source, error) {
 	return src, nil
 }
 
-// OpenAt implements OpenerAt for DMMT2 files: it opens a fresh handle
+// OpenAt implements OpenerAt: it opens a fresh handle
 // and resumes decoding at p, which must have come from the Pos of a
 // source over the same file. The pass yields exactly the events after
 // p; the trailer's event count is still verified (Pos carries the
@@ -587,9 +454,6 @@ func (f *File) Open() (Source, error) {
 // so the caller is expected to have verified the file with one full
 // pass first. Seekable handles seek; others discard p.Off bytes.
 func (f *File) OpenAt(p Pos) (Source, error) {
-	if f.version != 2 {
-		return nil, fmt.Errorf("trace: %s: mid-stream resume requires a DMMT2 trace", f.path)
-	}
 	var src Source
 	err := f.opts.Retry.retry(func() error {
 		fh, err := f.opts.open(f.path)
@@ -607,12 +471,15 @@ func (f *File) OpenAt(p Pos) (Source, error) {
 			_ = fh.Close()
 			return fmt.Errorf("trace: %s: skipping to offset %d: %w", f.path, p.Off, err)
 		}
-		src = &binarySource2{
-			binarySource: binarySource{name: f.name, i: p.Index, last: p.Tick, c: fh},
-			r:            r,
-			buf:          make([]byte, batchWindow),
-			off:          p.Off,
-			skipCRC:      true,
+		src = &binarySource{
+			name:    f.name,
+			r:       r,
+			buf:     make([]byte, batchWindow),
+			off:     p.Off,
+			i:       p.Index,
+			last:    p.Tick,
+			skipCRC: true,
+			c:       fh,
 		}
 		return nil
 	})

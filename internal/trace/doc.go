@@ -1,6 +1,6 @@
 // Package trace defines allocation traces — the interface between the
-// dynamic applications and the DM managers — together with binary/JSON
-// codecs, a streaming event-source abstraction and a replay engine.
+// dynamic applications and the DM managers — together with the DMMT2
+// binary codec, a streaming event-source abstraction and a replay engine.
 //
 // The paper's methodology starts by profiling an application's dynamic
 // memory behaviour; here workloads emit traces, profiles are computed from
@@ -32,16 +32,14 @@
 // two forms, picked by the source: a dense ID-indexed slice for
 // in-memory traces, the open-addressing mm.Table otherwise.
 //
-// # Binary formats
+// # Binary format
 //
-// Two on-disk formats share a header (magic, name) and are read back
-// transparently by DecodeBinary and DecodeBinarySource. DMMT1 is the
-// legacy format: an event count in the header and every field as an
-// unsigned varint, so signed values round-trip only via two's-complement
-// wraparound at ten bytes each. DMMT2 zigzag-encodes the signed fields
-// (Tag, Phase, tick deltas), drops the up-front count — which is what
-// makes it streamable — and ends with a marker plus trailing count that
-// detects truncation. Both decoders reject fields that would silently
-// wrap or truncate (IDs and sizes above MaxInt64, zero allocation sizes,
-// out-of-range tags/phases).
+// Traces on disk are DMMT2, written by Encoder and read back by
+// DecodeBinary and DecodeBinarySource. It zigzag-encodes the signed
+// fields (Tag, Phase, tick deltas), has no up-front event count — which
+// is what makes it streamable — and ends with a marker, a trailing count
+// that detects truncation and a CRC-32C that detects corruption. The
+// decoders reject fields that would silently wrap or truncate (IDs and
+// sizes above MaxInt64, zero allocation sizes, out-of-range tags/phases)
+// and a stream without its checksum.
 package trace

@@ -1,47 +1,29 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 )
 
-// Two binary trace formats share the header layout (magic, then the
-// uvarint-prefixed name) and differ in the event encoding:
-//
-//   - DMMT1 writes the event count after the name and encodes every field
-//     as an unsigned varint. Signed values (negative Tag/Phase, backward
-//     Tick deltas) only survive through two's-complement wraparound and
-//     cost 10 bytes each.
-//   - DMMT2 (see Encoder) has no up-front count — it is streamable — and
-//     zigzag-encodes the signed fields (Tag, Phase, tick deltas). The
-//     stream ends with a 0xFF marker byte followed by the event count
-//     (a truncation check) and a trailing CRC-32C over all preceding
-//     bytes (a corruption check; optional on read, for streams written
-//     by releases that predate it).
-//
-// DecodeBinary and DecodeBinarySource read both formats transparently.
+// DMMT2 (see Encoder) is the one trace file format: a header (magic,
+// then the uvarint-prefixed name), the events with their signed fields
+// (Tag, Phase, tick deltas) zigzag-encoded, and a trailer of a 0xFF
+// marker byte, the event count (a truncation check) and a CRC-32C over
+// all preceding bytes (a corruption check). DecodeBinary and
+// DecodeBinarySource read it back.
 const (
-	binaryMagic1 = "DMMT1\n"
-	binaryMagic2 = "DMMT2\n"
-	magicLen     = len(binaryMagic1)
+	binaryMagic = "DMMT2\n"
+	magicLen    = len(binaryMagic)
 
-	// endMarker terminates a DMMT2 event stream. It can never start an
+	// endMarker terminates the event stream. It can never start an
 	// event: events start with a Kind byte, and kinds are 0 or 1.
 	endMarker = 0xFF
 
 	// maxNameLen bounds the header's name field against crafted input.
 	maxNameLen = 1 << 16
-	// crcLen is the size of the DMMT2 trailing CRC-32C checksum.
+	// crcLen is the size of the trailing CRC-32C checksum.
 	crcLen = 4
-	// maxEventCount bounds the DMMT1 header count against crafted input,
-	// and maxPrealloc bounds what DecodeBinary preallocates from it (a
-	// forged count must not reserve gigabytes before the first event).
-	maxEventCount = 1 << 30
-	maxPrealloc   = 1 << 20
 )
 
 // castagnoli is the CRC-32C polynomial table shared by the DMMT2 encoder
@@ -49,57 +31,7 @@ const (
 // detection (and hardware support on common targets).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeBinary writes the trace in the legacy DMMT1 binary format.
-// EncodeBinary2 writes the more compact, streamable DMMT2 format; both
-// are read back by DecodeBinary and DecodeBinarySource.
-func (t *Trace) EncodeBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic1); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(t.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(t.Events))); err != nil {
-		return err
-	}
-	var lastTick int64
-	for _, e := range t.Events {
-		if err := bw.WriteByte(byte(e.Kind)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(e.ID)); err != nil {
-			return err
-		}
-		if e.Kind == KindAlloc {
-			if err := putUvarint(uint64(e.Size)); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(e.Tag)); err != nil {
-				return err
-			}
-		}
-		if err := putUvarint(uint64(e.Phase)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(e.Tick - lastTick)); err != nil {
-			return err
-		}
-		lastTick = e.Tick
-	}
-	return bw.Flush()
-}
-
-// DecodeBinary reads a whole binary trace (either format) into memory.
+// DecodeBinary reads a whole DMMT2 trace into memory.
 // For out-of-core replay of large traces use DecodeBinarySource instead.
 func DecodeBinary(r io.Reader) (*Trace, error) {
 	src, err := DecodeBinarySource(r)
@@ -107,9 +39,6 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	t := &Trace{Name: src.Name()}
-	if s, ok := src.(Sized); ok {
-		t.Events = make([]Event, 0, min(s.EventCount(), maxPrealloc))
-	}
 	for {
 		e, ok, err := src.Next()
 		if err != nil {
@@ -120,23 +49,6 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 		}
 		t.Events = append(t.Events, e)
 	}
-}
-
-// EncodeJSON writes the trace as indented JSON (for inspection and
-// interchange).
-func (t *Trace) EncodeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(t)
-}
-
-// DecodeJSON reads a JSON trace.
-func DecodeJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, err
-	}
-	return &t, nil
 }
 
 // checkID validates a decoded ID uvarint: values above MaxInt64 would

@@ -17,15 +17,13 @@ import (
 // DMMT2 layout: the "DMMT2\n" magic and the uvarint-prefixed name, then
 // per event a Kind byte, the ID as a uvarint, for allocations the Size as
 // a uvarint and the Tag as a zigzag varint, then the Phase and the tick
-// delta as zigzag varints. Signed fields that DMMT1 could only round-trip
-// through 10-byte two's-complement wraparound (negative tags and phases,
-// backward tick deltas) cost their natural varint length here. The stream
-// ends with a 0xFF marker followed by the event count as a uvarint, which
-// lets the decoder detect truncated files, and then a CRC-32C checksum
-// (4 bytes, little-endian) over every preceding byte of the stream, which
-// lets it detect bit corruption the structural checks cannot (a flipped
-// bit inside a varint decodes to a different, equally valid value). The
-// decoder accepts streams from older releases that end at the count.
+// delta as zigzag varints, so negative tags and phases and backward tick
+// deltas cost their natural varint length. The stream ends with a 0xFF
+// marker followed by the event count as a uvarint, which lets the
+// decoder detect truncated files, and then a CRC-32C checksum (4 bytes,
+// little-endian) over every preceding byte of the stream, which lets it
+// detect bit corruption the structural checks cannot (a flipped bit
+// inside a varint decodes to a different, equally valid value).
 //
 // Use it as: NewEncoder, Begin, WriteEvent..., Close. Close writes the
 // end marker and flushes; it does not close the underlying writer.
@@ -78,7 +76,7 @@ func (enc *Encoder) Begin(name string) error {
 		return fmt.Errorf("trace: Encoder.Begin called twice")
 	}
 	enc.begun = true
-	if err := enc.write([]byte(binaryMagic2)); err != nil {
+	if err := enc.write([]byte(binaryMagic)); err != nil {
 		return err
 	}
 	if err := enc.putUvarint(uint64(len(name))); err != nil {
@@ -162,8 +160,8 @@ func (enc *Encoder) Close() error {
 	return enc.w.Flush()
 }
 
-// EncodeBinary2 writes the trace in the DMMT2 binary format (the
-// streaming, zigzag-encoded successor of DMMT1; see Encoder).
+// EncodeBinary2 writes the trace in the DMMT2 binary format (see
+// Encoder).
 func (t *Trace) EncodeBinary2(w io.Writer) error {
 	enc := NewEncoder(w)
 	if err := enc.Begin(t.Name); err != nil {

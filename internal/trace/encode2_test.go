@@ -9,12 +9,6 @@ import (
 	"testing"
 )
 
-// encoders maps the format under test to its whole-trace encode call.
-var encoders = map[string]func(*Trace, *bytes.Buffer) error{
-	"DMMT1": func(t *Trace, buf *bytes.Buffer) error { return t.EncodeBinary(buf) },
-	"DMMT2": func(t *Trace, buf *bytes.Buffer) error { return t.EncodeBinary2(buf) },
-}
-
 func TestBinary2RoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
@@ -31,8 +25,7 @@ func TestBinary2RoundTrip(t *testing.T) {
 }
 
 // signedTrace exercises the signed-field corners: negative tags and
-// phases, and ticks that jump backwards (non-monotonic), which DMMT1 can
-// only represent through two's-complement wraparound.
+// phases, and ticks that jump backwards (non-monotonic).
 func signedTrace(seed int64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := &Trace{Name: "signed"}
@@ -60,87 +53,31 @@ func signedTrace(seed int64) *Trace {
 }
 
 func TestRoundTripSignedFields(t *testing.T) {
-	for name, encode := range encoders {
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(1); seed <= 8; seed++ {
-				tr := signedTrace(seed)
-				var buf bytes.Buffer
-				if err := encode(tr, &buf); err != nil {
-					t.Fatalf("seed %d: encode: %v", seed, err)
-				}
-				got, err := DecodeBinary(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatalf("seed %d: decode: %v", seed, err)
-				}
-				if !reflect.DeepEqual(tr, got) {
-					t.Fatalf("seed %d: round trip mismatch", seed)
-				}
+	t.Run("DMMT2", func(t *testing.T) {
+		for seed := int64(1); seed <= 8; seed++ {
+			tr := signedTrace(seed)
+			var buf bytes.Buffer
+			if err := tr.EncodeBinary2(&buf); err != nil {
+				t.Fatalf("seed %d: encode: %v", seed, err)
 			}
-		})
-	}
+			got, err := DecodeBinary(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("seed %d: decode: %v", seed, err)
+			}
+			if !reflect.DeepEqual(tr, got) {
+				t.Fatalf("seed %d: round trip mismatch", seed)
+			}
+		}
+	})
 }
 
-// TestSignedFieldsCheaperInDMMT2 pins the format's reason to exist: the
-// same signed-heavy trace costs materially fewer bytes zigzag-encoded
-// than sign-extended to ten-byte uvarints.
-func TestSignedFieldsCheaperInDMMT2(t *testing.T) {
-	tr := signedTrace(1)
-	var v1, v2 bytes.Buffer
-	if err := tr.EncodeBinary(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.EncodeBinary2(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() >= v1.Len() {
-		t.Errorf("DMMT2 = %d bytes, DMMT1 = %d: zigzag encoding should shrink signed-heavy traces", v2.Len(), v1.Len())
-	}
-	// Roughly: DMMT1 spends 10 bytes per negative varint, DMMT2 one or
-	// two; a half-negative trace should compress well below 60%.
-	if ratio := float64(v2.Len()) / float64(v1.Len()); ratio > 0.6 {
-		t.Errorf("DMMT2/DMMT1 size ratio %.2f, want <= 0.6", ratio)
-	}
-}
-
-// TestDMMT1ToDMMT2Compat migrates a legacy file to the new format and
-// back, checking every representation agrees — the upgrade path for
-// traces captured before DMMT2.
-func TestDMMT1ToDMMT2Compat(t *testing.T) {
-	for _, tr := range []*Trace{sampleTrace(), signedTrace(3)} {
-		var v1 bytes.Buffer
-		if err := tr.EncodeBinary(&v1); err != nil {
-			t.Fatal(err)
-		}
-		fromV1, err := DecodeBinary(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatalf("decoding DMMT1: %v", err)
-		}
-		var v2 bytes.Buffer
-		if err := fromV1.EncodeBinary2(&v2); err != nil {
-			t.Fatalf("re-encoding as DMMT2: %v", err)
-		}
-		fromV2, err := DecodeBinary(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			t.Fatalf("decoding migrated DMMT2: %v", err)
-		}
-		if !reflect.DeepEqual(tr, fromV1) || !reflect.DeepEqual(fromV1, fromV2) {
-			t.Errorf("trace %q: DMMT1 -> DMMT2 migration changed the events", tr.Name)
-		}
-	}
-}
-
-// header writes a format header for hand-crafted decode inputs.
-func header(t *testing.T, magic, name string, extra ...uint64) *bytes.Buffer {
-	t.Helper()
+// header writes a trace header for hand-crafted decode inputs.
+func header(name string) *bytes.Buffer {
 	var buf bytes.Buffer
-	buf.WriteString(magic)
+	buf.WriteString(binaryMagic)
 	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	put(uint64(len(name)))
+	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(name)))])
 	buf.WriteString(name)
-	for _, v := range extra {
-		put(v)
-	}
 	return &buf
 }
 
@@ -149,52 +86,58 @@ func TestDecodeRejectsOverflow(t *testing.T) {
 		var tmp [binary.MaxVarintLen64]byte
 		buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
 	}
+	putSigned := func(buf *bytes.Buffer, v int64) {
+		var tmp [binary.MaxVarintLen64]byte
+		buf.Write(tmp[:binary.PutVarint(tmp[:], v)])
+	}
 	cases := []struct {
 		name string
 		buf  func() *bytes.Buffer
 		want string
 	}{
-		{"v1 id overflow", func() *bytes.Buffer {
-			b := header(t, binaryMagic1, "x", 1)
+		{"v2 id overflow", func() *bytes.Buffer {
+			b := header("x")
 			b.WriteByte(byte(KindFree))
 			put(b, 1<<63) // wraps to a negative ID if accepted
 			return b
 		}, "overflows int64"},
-		{"v1 size overflow", func() *bytes.Buffer {
-			b := header(t, binaryMagic1, "x", 1)
+		{"v2 size overflow", func() *bytes.Buffer {
+			b := header("x")
 			b.WriteByte(byte(KindAlloc))
 			put(b, 0)
-			put(b, 1<<63)
-			return b
-		}, "overflows int64"},
-		{"v1 size zero", func() *bytes.Buffer {
-			b := header(t, binaryMagic1, "x", 1)
-			b.WriteByte(byte(KindAlloc))
-			put(b, 0)
-			put(b, 0)
-			return b
-		}, "alloc size 0"},
-		{"v1 tag truncation", func() *bytes.Buffer {
-			b := header(t, binaryMagic1, "x", 1)
-			b.WriteByte(byte(KindAlloc))
-			put(b, 0)
-			put(b, 8)
-			put(b, 1<<40) // neither int32 range nor a sign extension
-			return b
-		}, "overflows int32"},
-		{"v2 id overflow", func() *bytes.Buffer {
-			b := header(t, binaryMagic2, "x")
-			b.WriteByte(byte(KindFree))
 			put(b, 1<<63)
 			return b
 		}, "overflows int64"},
 		{"v2 size zero", func() *bytes.Buffer {
-			b := header(t, binaryMagic2, "x")
+			b := header("x")
 			b.WriteByte(byte(KindAlloc))
 			put(b, 0)
 			put(b, 0)
 			return b
 		}, "alloc size 0"},
+		{"v2 tag overflow", func() *bytes.Buffer {
+			b := header("x")
+			b.WriteByte(byte(KindAlloc))
+			put(b, 0)
+			put(b, 8)
+			putSigned(b, -1<<40)
+			return b
+		}, "tag -1099511627776 overflows int32"},
+		{"v2 phase overflow", func() *bytes.Buffer {
+			b := header("x")
+			b.WriteByte(byte(KindFree))
+			put(b, 0)
+			putSigned(b, 1<<31)
+			return b
+		}, "phase 2147483648 overflows int32"},
+		{"v2 varint overflow", func() *bytes.Buffer {
+			b := header("x")
+			b.WriteByte(byte(KindFree))
+			// An 11-byte varint: ten continuation bytes, then a terminator.
+			b.Write(bytes.Repeat([]byte{0xFF}, 10))
+			b.WriteByte(0x01)
+			return b
+		}, errVarintOverflow.Error()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -258,15 +201,11 @@ func TestBinary2ChecksumDetectsCorruption(t *testing.T) {
 		}
 	}
 
-	// A legacy stream — the same bytes minus the checksum trailer — still
-	// decodes: releases without the CRC wrote exactly this.
-	legacy := full[:len(full)-crcLen]
-	got, err := DecodeBinary(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy stream without checksum: %v", err)
-	}
-	if !tracesEqual(tr, got) {
-		t.Fatal("legacy stream decoded different events")
+	// The checksum is mandatory: a stream that ends right after the
+	// trailer count is rejected, not read as a checksum-less trace.
+	if _, err := DecodeBinary(bytes.NewReader(full[:len(full)-crcLen])); err == nil ||
+		!strings.Contains(err.Error(), "reading checksum") {
+		t.Errorf("stream without checksum: err = %v, want reading checksum error", err)
 	}
 }
 
@@ -321,15 +260,5 @@ func TestEncoderMisuse(t *testing.T) {
 	}
 	if len(got.Events) != 1 || enc.Count() != 1 {
 		t.Errorf("decoded %d events, Count() = %d, want 1 and 1", len(got.Events), enc.Count())
-	}
-}
-
-// TestDecodeBinaryCapsPrealloc guards against a forged DMMT1 header
-// reserving gigabytes: a huge (but in-range) count with no events must
-// fail on EOF without a giant allocation.
-func TestDecodeBinaryCapsPrealloc(t *testing.T) {
-	b := header(t, binaryMagic1, "bomb", maxEventCount)
-	if _, err := DecodeBinary(b); err == nil {
-		t.Error("empty body with forged count decoded")
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzDecodeBinary drives both binary decoders over arbitrary input. The
-// seeded corpus covers valid DMMT1/DMMT2 encodings (including the signed
-// corners), truncations and plain garbage; `go test` replays the seeds,
+// FuzzDecodeBinary drives both DMMT2 decoders over arbitrary input. The
+// seeded corpus covers valid encodings (including the signed corners),
+// truncations, a stripped checksum, a foreign magic and plain garbage; `go test` replays the seeds,
 // `go test -fuzz=FuzzDecodeBinary` explores from them.
 //
 // Properties checked on every input:
@@ -16,8 +16,8 @@ import (
 //     fields (non-positive alloc sizes, negative IDs);
 //   - DecodeBinary and DecodeBinarySource agree: same accept/reject
 //     verdict, and on accept the same name and events (differential);
-//   - anything that decodes re-encodes (in both formats) back to the
-//     same events (round trip).
+//   - anything that decodes re-encodes back to the same events (round
+//     trip).
 func FuzzDecodeBinary(f *testing.F) {
 	seedTraces := []*Trace{
 		{Name: "empty"},
@@ -26,19 +26,17 @@ func FuzzDecodeBinary(f *testing.F) {
 		signedTrace(2),
 	}
 	for _, tr := range seedTraces {
-		var v1, v2 bytes.Buffer
-		if err := tr.EncodeBinary(&v1); err != nil {
-			f.Fatal(err)
-		}
+		var v2 bytes.Buffer
 		if err := tr.EncodeBinary2(&v2); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(v1.Bytes())
-		f.Add(v2.Bytes())
-		f.Add(v1.Bytes()[:len(v1.Bytes())/2]) // truncated
-		f.Add(v2.Bytes()[:len(v2.Bytes())-1]) // missing trailer byte
+		b := v2.Bytes()
+		f.Add(b)
+		f.Add(b[:len(b)/2])      // truncated
+		f.Add(b[:len(b)-1])      // missing trailer byte
+		f.Add(b[:len(b)-crcLen]) // missing checksum
 	}
-	f.Add([]byte("DMMT1\n"))
+	f.Add([]byte("DMMT1\n")) // bad magic
 	f.Add([]byte("DMMT2\n"))
 	f.Add([]byte("not a trace at all"))
 	f.Add([]byte{})
@@ -90,19 +88,17 @@ func FuzzDecodeBinary(f *testing.F) {
 				t.Fatalf("event %d: alloc size %d decoded", i, e.Size)
 			}
 		}
-		for name, encode := range encoders {
-			var buf bytes.Buffer
-			if err := encode(whole, &buf); err != nil {
-				t.Fatalf("%s: re-encoding decoded trace: %v", name, err)
-			}
-			again, err := DecodeBinary(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("%s: decoding re-encoded trace: %v", name, err)
-			}
-			if whole.Name != again.Name || len(whole.Events) != len(again.Events) ||
-				(len(whole.Events) > 0 && !reflect.DeepEqual(whole.Events, again.Events)) {
-				t.Fatalf("%s: round trip changed the trace", name)
-			}
+		var buf bytes.Buffer
+		if err := whole.EncodeBinary2(&buf); err != nil {
+			t.Fatalf("re-encoding decoded trace: %v", err)
+		}
+		again, err := DecodeBinary(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("decoding re-encoded trace: %v", err)
+		}
+		if whole.Name != again.Name || len(whole.Events) != len(again.Events) ||
+			(len(whole.Events) > 0 && !reflect.DeepEqual(whole.Events, again.Events)) {
+			t.Fatal("round trip changed the trace")
 		}
 	})
 }

@@ -4,7 +4,7 @@ import "io"
 
 // Source streams the events of one logical trace, in order. It is the
 // read-side abstraction the replay engine, the profiler and the explore
-// engine consume: an in-memory Trace is one implementation, and a binary
+// engine consume: an in-memory Trace is one implementation, and a DMMT2
 // trace file decoded on the fly (DecodeBinarySource) is another, so a
 // multi-hour capture replays with memory bounded by the application's
 // live set instead of the trace length.
@@ -20,13 +20,6 @@ type Source interface {
 	// exhausted; a non-nil error (ok false too) means the stream is
 	// corrupt or unreadable and the replay cannot continue.
 	Next() (e Event, ok bool, err error)
-}
-
-// Sized is implemented by sources that know their event count up front
-// (an in-memory trace, a DMMT1 file); consumers use it to preallocate.
-type Sized interface {
-	// EventCount returns the total number of events the source yields.
-	EventCount() int
 }
 
 // Opener yields independent sequential passes over one logical trace.
@@ -66,8 +59,6 @@ type sliceSource struct {
 }
 
 func (s *sliceSource) Name() string { return s.t.Name }
-
-func (s *sliceSource) EventCount() int { return len(s.t.Events) }
 
 func (s *sliceSource) Next() (Event, bool, error) {
 	if s.i >= len(s.t.Events) {

@@ -106,9 +106,6 @@ func TestFileOpenerIndependentPasses(t *testing.T) {
 	if f.Name() != "churn" {
 		t.Errorf("Name = %q", f.Name())
 	}
-	if f.Events() != -1 {
-		t.Errorf("Events = %d, want -1 (DMMT2 has no header count)", f.Events())
-	}
 	// Concurrent passes must not interfere (exploration replays one pass
 	// per worker).
 	results := make(chan int64, 4)
@@ -150,23 +147,6 @@ func TestFileOpenerIndependentPasses(t *testing.T) {
 	}
 	if err := trace.Close(src); err != nil {
 		t.Errorf("second Close: %v", err)
-	}
-	// A DMMT1 file reports its count up front.
-	tr := replayTrace()
-	p1 := filepath.Join(t.TempDir(), "v1.trace")
-	fh, err := os.Create(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := errors.Join(tr.EncodeBinary(fh), fh.Close()); err != nil {
-		t.Fatal(err)
-	}
-	f1, err := trace.OpenFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1.Events() != len(tr.Events) {
-		t.Errorf("DMMT1 Events = %d, want %d", f1.Events(), len(tr.Events))
 	}
 	if _, err := trace.OpenFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("OpenFile on a missing path succeeded")

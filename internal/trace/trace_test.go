@@ -73,42 +73,12 @@ func TestMaxLiveBytes(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.EncodeBinary(&buf); err != nil {
-		t.Fatalf("EncodeBinary: %v", err)
-	}
-	got, err := DecodeBinary(&buf)
-	if err != nil {
-		t.Fatalf("DecodeBinary: %v", err)
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Errorf("binary round trip mismatch:\nin:  %+v\nout: %+v", tr.Events[:3], got.Events[:3])
-	}
-}
-
 func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := DecodeBinary(bytes.NewReader([]byte("not a trace at all"))); err == nil {
 		t.Error("garbage decoded")
 	}
 	if _, err := DecodeBinary(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input decoded")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.EncodeJSON(&buf); err != nil {
-		t.Fatalf("EncodeJSON: %v", err)
-	}
-	got, err := DecodeJSON(&buf)
-	if err != nil {
-		t.Fatalf("DecodeJSON: %v", err)
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Error("JSON round trip mismatch")
 	}
 }
 
@@ -131,7 +101,7 @@ func TestBinaryRoundTripLargeRandom(t *testing.T) {
 	}
 	tr := b.Build()
 	var buf bytes.Buffer
-	if err := tr.EncodeBinary(&buf); err != nil {
+	if err := tr.EncodeBinary2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeBinary(&buf)
