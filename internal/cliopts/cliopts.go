@@ -79,18 +79,16 @@ func NewStrategy(name string, cfg SearchConfig) (search.Strategy, error) {
 	switch name {
 	case "exhaustive":
 		return search.NewExhaustive(cfg.Budget), nil
-	case "ga":
-		return search.NewGA(cfg.Seed, search.GAConfig{
+	case "ga", "nsga":
+		gc := search.GAConfig{
 			Population:     cfg.Population,
 			Generations:    cfg.Generations,
 			MaxEvaluations: cfg.Budget,
-		}), nil
-	case "nsga":
-		return search.NewNSGA(cfg.Seed, search.GAConfig{
-			Population:     cfg.Population,
-			Generations:    cfg.Generations,
-			MaxEvaluations: cfg.Budget,
-		}), nil
+		}
+		if name == "nsga" {
+			return search.NewNSGA(cfg.Seed, gc), nil
+		}
+		return search.NewGA(cfg.Seed, gc), nil
 	}
 	return nil, fmt.Errorf("unknown strategy %q (valid: %s)", name, strings.Join(ValidStrategies, ", "))
 }

@@ -13,7 +13,7 @@
 // The Designer type implements the Sec. 4 methodology: it walks the trees
 // in the published order, applying the footprint heuristics and constraint
 // propagation to produce a vector (and params) from a profile. The
-// GlobalManager composes per-phase atomic managers (Sec. 3.3).
+// Global type composes per-phase atomic managers (Sec. 3.3).
 //
 // The Engine explores the design space concurrently: a search strategy
 // (internal/search) proposes vectors one generation at a time — the

@@ -25,7 +25,7 @@ type Global struct {
 	free  []int32
 
 	maxFootprint int64
-	failed       int64
+	failed       int64 // bad handles; atomic managers count their own failures
 }
 
 // handleSlot is one handle's route: the atomic manager (a position in
@@ -126,8 +126,7 @@ func (g *Global) Alloc(req mm.Request) (heap.Addr, error) {
 	i, _ := g.phaseIndex(req.Phase)
 	p, err := g.mgrs[i].Alloc(req)
 	if err != nil {
-		g.failed++
-		return heap.Nil, err
+		return heap.Nil, err // the atomic manager counted the failure
 	}
 	var s int32
 	if n := len(g.free); n > 0 {
@@ -153,8 +152,7 @@ func (g *Global) Free(h heap.Addr) error {
 	g.slots[s].mgr = -1
 	g.free = append(g.free, int32(s))
 	if err := g.mgrs[hs.mgr].Free(hs.real); err != nil {
-		g.failed++
-		return err
+		return err // the atomic manager counted the failure
 	}
 	g.bump()
 	return nil

@@ -87,6 +87,39 @@ func TestGlobalBadHandles(t *testing.T) {
 	}
 }
 
+// TestGlobalCountsAtomicFailureOnce: a failure the atomic manager
+// reports (and counts) must show up once in the global Stats, not once
+// more for the Global that merely passes the error on.
+func TestGlobalCountsAtomicFailureOnce(t *testing.T) {
+	m, err := NewCustom(heap.New(heap.Config{}), drrVector(), Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGlobal("G", map[int]mm.Manager{0: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Alloc(mm.Request{Size: 0}); err == nil {
+		t.Fatal("Alloc of size 0 succeeded")
+	}
+	if got, atomic := g.Stats().FailedOps, m.Stats().FailedOps; atomic != 1 || got != atomic {
+		t.Errorf("after a failed Alloc: Global FailedOps = %d, atomic = %d; want 1 and 1", got, atomic)
+	}
+
+	// Free the block behind the handle's back: the Global's Free then
+	// routes a valid handle to a free the atomic manager refuses.
+	h := mustAlloc(t, g, 64, 0)
+	if err := m.Free(g.slots[h/handleStride-1].real); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Free(h); !errors.Is(err, mm.ErrBadFree) {
+		t.Fatalf("Free of a handle whose block is gone = %v, want ErrBadFree", err)
+	}
+	if got, atomic := g.Stats().FailedOps, m.Stats().FailedOps; atomic != 2 || got != atomic {
+		t.Errorf("after a failed Free: Global FailedOps = %d, atomic = %d; want 2 and 2", got, atomic)
+	}
+}
+
 // TestGlobalSlotReuse checks that freed slots are handed out again last
 // in, first out, and that a reused handle routes to the manager of its
 // new allocation.

@@ -36,6 +36,15 @@
 //     ParetoFront over every evaluated vector and stops once the front
 //     is stale for a configurable number of generations.
 //
+// GA and NSGA run one generational loop (genetic.go): the seeded random
+// stream, the seed generation, breeding with crossover, mutation, repair
+// and dedup, the fitness cache, the MaxEvaluations trim, the convergence
+// counters and the snapshot codec. Each supplies only a policy: how
+// parents are chosen (ga.go: elite plus scalar tournament; nsga.go:
+// crowded tournament), which individuals survive a generation and what
+// counts as progress (a new best; a changed archive front), and the
+// state it adds to a snapshot (the best individual; the archive front).
+//
 // The Pareto primitives are shared: Dominates defines strict dominance
 // over (footprint, work), ParetoFront accumulates a deterministic
 // non-dominated set (first-seen wins among equal objective points), and

@@ -1,70 +1,10 @@
 package search
 
 import (
-	"math/rand"
 	"sort"
 
 	"dmmkit/internal/dspace"
 )
-
-// GAConfig tunes the genetic algorithm. Zero values select the documented
-// defaults, so GAConfig{} is a usable configuration.
-type GAConfig struct {
-	// Population is the number of individuals per generation (default 24).
-	Population int
-	// Generations caps the number of generations, counting the seed
-	// generation (default 40).
-	Generations int
-	// Elite individuals survive unchanged into the next generation
-	// (default 2).
-	Elite int
-	// Tournament is the selection tournament size (default 3): each parent
-	// is the fittest of Tournament individuals drawn at random.
-	Tournament int
-	// CrossoverRate is the probability a child is bred by per-tree uniform
-	// crossover rather than cloned from its first parent (default 0.9).
-	CrossoverRate float64
-	// MutationRate is the per-tree probability of replacing a child's leaf
-	// with a uniformly random one before repair (default 0.1).
-	MutationRate float64
-	// Patience stops the search after this many consecutive generations
-	// without improving the best individual (default 4).
-	Patience int
-	// MaxEvaluations, when > 0, hard-caps the total number of vectors the
-	// search proposes for evaluation: the generation that would cross the
-	// cap is trimmed to fit and becomes the last. It bounds exploration
-	// cost precisely regardless of how convergence plays out.
-	MaxEvaluations int
-	// Fix restricts the search to a pinned subspace (nil = whole space).
-	Fix Fixed
-}
-
-func (c *GAConfig) defaults() {
-	if c.Population <= 0 {
-		c.Population = 24
-	}
-	if c.Generations <= 0 {
-		c.Generations = 40
-	}
-	if c.Elite <= 0 {
-		c.Elite = 2
-	}
-	if c.Elite > c.Population {
-		c.Elite = c.Population
-	}
-	if c.Tournament <= 0 {
-		c.Tournament = 3
-	}
-	if c.CrossoverRate <= 0 {
-		c.CrossoverRate = 0.9
-	}
-	if c.MutationRate <= 0 {
-		c.MutationRate = 0.1
-	}
-	if c.Patience <= 0 {
-		c.Patience = 4
-	}
-}
 
 // GA is a deterministic seeded genetic algorithm over the design space:
 // tournament selection, per-tree uniform crossover, per-tree mutation,
@@ -83,150 +23,34 @@ func (c *GAConfig) defaults() {
 // GAConfig.Patience consecutive generations fail to improve the best
 // individual (convergence), or when the subspace is exhausted.
 type GA struct {
-	cfg GAConfig
-	rng *rand.Rand
-	src *countedSource // rng's stream, counted for Snapshot/Restore
-
-	evaluated map[dspace.Vector]Result // fitness cache across generations
-	pop       []Result                 // scored previous generation
-	current   []dspace.Vector          // generation being evaluated
-	pending   []dspace.Vector          // current members not in the cache
-
-	gen       int
-	stale     int
-	best      Result
-	haveBest  bool
-	exhausted bool // evaluation budget spent: current generation is the last
-	done      bool
+	genetic
+	best     Result
+	haveBest bool
 }
 
 // NewGA returns a seeded genetic search strategy. Identical seed and
 // config yield an identical exploration (see the determinism contract on
 // GA).
 func NewGA(seed int64, cfg GAConfig) *GA {
-	cfg.defaults()
-	src := newCountedSource(seed)
-	return &GA{
-		cfg:       cfg,
-		rng:       rand.New(src),
-		src:       src,
-		evaluated: make(map[dspace.Vector]Result),
-	}
+	g := &GA{}
+	g.genetic = newGenetic("ga", seed, cfg, g)
+	return g
 }
-
-// Next proposes the unevaluated members of the next generation.
-// Generations whose members are all cache hits are scored and skipped
-// without proposing anything, so an empty batch always means the search is
-// over.
-func (g *GA) Next() []dspace.Vector {
-	for !g.done {
-		if g.current == nil {
-			g.buildGeneration()
-			continue
-		}
-		if len(g.pending) > 0 {
-			return g.pending
-		}
-		// Every member was already evaluated in an earlier generation:
-		// score from the cache alone and move on.
-		g.finish(nil)
-	}
-	return nil
-}
-
-// Observe folds the results of the last proposed batch back into the
-// fitness cache (in proposal order) and closes out the generation.
-func (g *GA) Observe(results []Result) {
-	if g.current != nil {
-		g.finish(results)
-	}
-}
-
-// Evaluations returns how many vectors the search has had evaluated so far
-// (cache hits excluded).
-func (g *GA) Evaluations() int { return len(g.evaluated) }
 
 // Best returns the fittest result observed so far; ok is false before the
 // first generation is scored.
 func (g *GA) Best() (best Result, ok bool) { return g.best, g.haveBest }
 
-// Generation returns how many generations have been scored.
-func (g *GA) Generation() int { return g.gen }
-
-// buildGeneration fills g.current with the next population and g.pending
-// with its members that still need evaluation.
-func (g *GA) buildGeneration() {
-	var members []dspace.Vector
-	if g.gen == 0 {
-		members = Sample(g.cfg.Population, g.cfg.Fix)
-	} else {
-		members = g.breedGeneration()
-	}
-	if len(members) == 0 {
-		g.done = true
-		return
-	}
-	g.current = members
-	g.pending = g.pending[:0]
-	for _, v := range members {
-		if _, hit := g.evaluated[v]; !hit {
-			g.pending = append(g.pending, v)
-		}
-	}
-	if cap := g.cfg.MaxEvaluations; cap > 0 {
-		room := cap - len(g.evaluated)
-		if room <= 0 {
-			g.pending = g.pending[:0]
-			g.exhausted = true
-		} else if len(g.pending) > room {
-			// Trim the members list too, so unevaluable individuals never
-			// join the population.
-			g.pending = g.pending[:room]
-			kept := g.current[:0]
-			pendingSet := make(map[dspace.Vector]bool, len(g.pending))
-			for _, v := range g.pending {
-				pendingSet[v] = true
-			}
-			for _, v := range g.current {
-				if _, hit := g.evaluated[v]; hit || pendingSet[v] {
-					kept = append(kept, v)
-				}
-			}
-			g.current = kept
-			g.exhausted = true
-		}
-	}
-}
-
-// breedGeneration produces the next population: the elite of the previous
-// generation plus children bred by tournament selection, crossover,
-// mutation and repair. Members are unique within the generation; children
-// that duplicate an already-evaluated vector are admitted (their cached
-// fitness keeps selection honest) but will not be re-evaluated.
-func (g *GA) breedGeneration() []dspace.Vector {
+// parents implements geneticPolicy: the Elite fittest of the previous
+// generation carry over, and every parent is a tournament winner.
+func (g *GA) parents() ([]dspace.Vector, func() dspace.Vector) {
 	ranked := append([]Result(nil), g.pop...)
 	sort.SliceStable(ranked, func(i, j int) bool { return Better(ranked[i], ranked[j]) })
-
-	members := make([]dspace.Vector, 0, g.cfg.Population)
-	inGen := make(map[dspace.Vector]bool, g.cfg.Population)
+	elite := make([]dspace.Vector, 0, g.cfg.Elite)
 	for i := 0; i < g.cfg.Elite && i < len(ranked); i++ {
-		v := ranked[i].Vector
-		if !inGen[v] {
-			inGen[v] = true
-			members = append(members, v)
-		}
+		elite = append(elite, ranked[i].Vector)
 	}
-	// The attempt cap keeps tiny subspaces from spinning: once the
-	// neighbourhood is exhausted the generation simply runs short.
-	for attempts := 40 * g.cfg.Population; len(members) < g.cfg.Population && attempts > 0; attempts-- {
-		child, ok := Repair(g.breed(g.tournament(), g.tournament()), g.cfg.Fix)
-		if !ok || inGen[child] {
-			continue
-		}
-		inGen[child] = true
-		members = append(members, child)
-	}
-	return members
+	return elite, g.tournament
 }
 
 // tournament draws cfg.Tournament individuals from the previous
@@ -241,69 +65,14 @@ func (g *GA) tournament() dspace.Vector {
 	return best.Vector
 }
 
-// breed builds a raw (possibly invalid) child genome from two parents.
-func (g *GA) breed(a, b dspace.Vector) dspace.Vector {
-	return crossoverMutate(g.rng, g.cfg.CrossoverRate, g.cfg.MutationRate, a, b)
-}
-
-// crossoverMutate is the genome operator shared by GA and NSGA: per-tree
-// uniform crossover at crossRate, then per-tree uniform mutation at
-// mutRate. The child may violate the design-space constraints and must be
-// repaired. The rng consumption pattern depends only on the rates, which
-// is what keeps seeded runs reproducible.
-func crossoverMutate(rng *rand.Rand, crossRate, mutRate float64, a, b dspace.Vector) dspace.Vector {
-	child := a
-	if rng.Float64() < crossRate {
-		for t := 0; t < dspace.NumTrees; t++ {
-			if rng.Intn(2) == 1 {
-				child.Set(dspace.Tree(t), b.Get(dspace.Tree(t)))
-			}
-		}
-	}
-	for t := 0; t < dspace.NumTrees; t++ {
-		if rng.Float64() < mutRate {
-			child.Set(dspace.Tree(t), dspace.Leaf(rng.Intn(dspace.LeafCount(dspace.Tree(t)))))
-		}
-	}
-	return child
-}
-
-// finish scores the generation: results arrive in proposal order for
-// g.pending, cached members score from the cache, and convergence counters
-// advance.
-func (g *GA) finish(results []Result) {
-	for i, v := range g.pending {
-		if i >= len(results) {
-			break
-		}
-		r := results[i]
-		r.Vector = v
-		g.evaluated[v] = r
-	}
-	pop := make([]Result, 0, len(g.current))
+// survive implements geneticPolicy: the scored generation is the next
+// parent pool, and progress means a new best individual.
+func (g *GA) survive(scored []Result) ([]Result, bool) {
 	prevBest, hadBest := g.best, g.haveBest
-	for _, v := range g.current {
-		r, ok := g.evaluated[v]
-		if !ok {
-			continue // evaluation was cut short (cancellation)
-		}
-		pop = append(pop, r)
+	for _, r := range scored {
 		if !g.haveBest || Better(r, g.best) {
 			g.best, g.haveBest = r, true
 		}
 	}
-	// The seed generation establishes the baseline; staleness counts only
-	// generations that fail to beat an existing best.
-	improved := !hadBest || Better(g.best, prevBest)
-	g.pop = pop
-	g.current, g.pending = nil, nil
-	g.gen++
-	if improved {
-		g.stale = 0
-	} else {
-		g.stale++
-	}
-	if len(pop) == 0 || g.gen >= g.cfg.Generations || g.stale >= g.cfg.Patience || g.exhausted {
-		g.done = true
-	}
+	return scored, !hadBest || Better(g.best, prevBest)
 }

@@ -2,7 +2,6 @@ package search
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"dmmkit/internal/dspace"
@@ -11,9 +10,10 @@ import (
 // NSGA is a deterministic seeded NSGA-II-style genetic search over the
 // design space, optimizing footprint and work jointly instead of
 // collapsing them to a single scalar. It reuses the GA's machinery —
-// the ceiling-stride seed generation, tournament selection, per-tree
-// uniform crossover and mutation, constraint repair, and deduplication
-// against every vector already evaluated — but replaces scalar fitness
+// the generational loop in genetic.go: the ceiling-stride seed
+// generation, per-tree uniform crossover and mutation, constraint
+// repair, deduplication against every vector already evaluated, the
+// evaluation budget and the snapshot codec — but replaces scalar fitness
 // with Pareto rank: parents are picked by the crowded-comparison
 // operator (non-domination rank first, then crowding distance), and
 // survivor selection keeps the best Population individuals of the
@@ -33,20 +33,8 @@ import (
 // so identical seed and config reproduce the identical proposal sequence
 // and the identical front at every evaluation parallelism level.
 type NSGA struct {
-	cfg GAConfig
-	rng *rand.Rand
-	src *countedSource // rng's stream, counted for Snapshot/Restore
-
-	evaluated map[dspace.Vector]Result // fitness cache across generations
-	pop       []Result                 // survivors of the previous generation
-	current   []dspace.Vector          // generation being evaluated
-	pending   []dspace.Vector          // current members not in the cache
-	front     ParetoFront              // archive over every evaluated vector
-
-	gen       int
-	stale     int
-	exhausted bool // evaluation budget spent: current generation is the last
-	done      bool
+	genetic
+	front ParetoFront // archive over every evaluated vector
 }
 
 // NewNSGA returns a seeded multi-objective genetic search strategy.
@@ -54,118 +42,22 @@ type NSGA struct {
 // determinism contract on NSGA). GAConfig.Elite is ignored: NSGA-II's
 // survivor selection is inherently elitist.
 func NewNSGA(seed int64, cfg GAConfig) *NSGA {
-	cfg.defaults()
-	src := newCountedSource(seed)
-	return &NSGA{
-		cfg:       cfg,
-		rng:       rand.New(src),
-		src:       src,
-		evaluated: make(map[dspace.Vector]Result),
-	}
+	n := &NSGA{}
+	n.genetic = newGenetic("nsga", seed, cfg, n)
+	return n
 }
-
-// Next proposes the unevaluated members of the next generation, exactly
-// like GA.Next: generations whose members are all cache hits are scored
-// and skipped, so an empty batch always means the search is over.
-func (n *NSGA) Next() []dspace.Vector {
-	for !n.done {
-		if n.current == nil {
-			n.buildGeneration()
-			continue
-		}
-		if len(n.pending) > 0 {
-			return n.pending
-		}
-		n.finish(nil)
-	}
-	return nil
-}
-
-// Observe folds the results of the last proposed batch back into the
-// fitness cache (in proposal order) and closes out the generation.
-func (n *NSGA) Observe(results []Result) {
-	if n.current != nil {
-		n.finish(results)
-	}
-}
-
-// Evaluations returns how many vectors the search has had evaluated so
-// far (cache hits excluded).
-func (n *NSGA) Evaluations() int { return len(n.evaluated) }
-
-// Generation returns how many generations have been scored.
-func (n *NSGA) Generation() int { return n.gen }
 
 // Front returns the archive Pareto front over every vector evaluated so
 // far, sorted by ascending footprint. It is empty before the first
 // generation is scored.
 func (n *NSGA) Front() []Result { return n.front.Results() }
 
-// buildGeneration fills n.current with the next population and n.pending
-// with its members that still need evaluation, honouring the evaluation
-// budget the same way GA does.
-func (n *NSGA) buildGeneration() {
-	var members []dspace.Vector
-	if n.gen == 0 {
-		members = Sample(n.cfg.Population, n.cfg.Fix)
-	} else {
-		members = n.breedGeneration()
-	}
-	if len(members) == 0 {
-		n.done = true
-		return
-	}
-	n.current = members
-	n.pending = n.pending[:0]
-	for _, v := range members {
-		if _, hit := n.evaluated[v]; !hit {
-			n.pending = append(n.pending, v)
-		}
-	}
-	if cap := n.cfg.MaxEvaluations; cap > 0 {
-		room := cap - len(n.evaluated)
-		if room <= 0 {
-			n.pending = n.pending[:0]
-			n.exhausted = true
-		} else if len(n.pending) > room {
-			n.pending = n.pending[:room]
-			kept := n.current[:0]
-			pendingSet := make(map[dspace.Vector]bool, len(n.pending))
-			for _, v := range n.pending {
-				pendingSet[v] = true
-			}
-			for _, v := range n.current {
-				if _, hit := n.evaluated[v]; hit || pendingSet[v] {
-					kept = append(kept, v)
-				}
-			}
-			n.current = kept
-			n.exhausted = true
-		}
-	}
-}
-
-// breedGeneration produces the next offspring population by crowded
-// tournament selection over the survivors, crossover, mutation and
-// repair. Members are unique within the generation; children duplicating
-// an already-evaluated vector are admitted (their cached fitness keeps
-// survivor selection honest) but will not be re-evaluated.
-func (n *NSGA) breedGeneration() []dspace.Vector {
+// parents implements geneticPolicy: no elite (survivor selection keeps
+// the best), and every parent wins a crowded tournament over the
+// survivors.
+func (n *NSGA) parents() ([]dspace.Vector, func() dspace.Vector) {
 	ranks, crowding := rankAndCrowd(n.pop)
-	members := make([]dspace.Vector, 0, n.cfg.Population)
-	inGen := make(map[dspace.Vector]bool, n.cfg.Population)
-	for attempts := 40 * n.cfg.Population; len(members) < n.cfg.Population && attempts > 0; attempts-- {
-		a := n.tournament(ranks, crowding)
-		b := n.tournament(ranks, crowding)
-		raw := crossoverMutate(n.rng, n.cfg.CrossoverRate, n.cfg.MutationRate, n.pop[a].Vector, n.pop[b].Vector)
-		child, ok := Repair(raw, n.cfg.Fix)
-		if !ok || inGen[child] {
-			continue
-		}
-		inGen[child] = true
-		members = append(members, child)
-	}
-	return members
+	return nil, func() dspace.Vector { return n.pop[n.tournament(ranks, crowding)].Vector }
 }
 
 // tournament draws cfg.Tournament individuals from the survivor pool and
@@ -183,32 +75,17 @@ func (n *NSGA) tournament(ranks []int, crowding []float64) int {
 	return best
 }
 
-// finish scores the generation: results arrive in proposal order for
-// n.pending, cached members score from the cache, the archive front
-// absorbs the offspring, and survivor selection truncates the combined
-// parent+offspring pool back to Population individuals.
-func (n *NSGA) finish(results []Result) {
-	for i, v := range n.pending {
-		if i >= len(results) {
-			break
-		}
-		r := results[i]
-		r.Vector = v
-		n.evaluated[v] = r
-	}
-	offspring := make([]Result, 0, len(n.current))
+// survive implements geneticPolicy: the archive front absorbs the
+// offspring, and survivor selection truncates the combined
+// parent+offspring pool back to Population individuals. Progress means
+// the archive front changed.
+func (n *NSGA) survive(offspring []Result) ([]Result, bool) {
 	frontChanged := false
-	for _, v := range n.current {
-		r, ok := n.evaluated[v]
-		if !ok {
-			continue // evaluation was cut short (cancellation)
-		}
-		offspring = append(offspring, r)
+	for _, r := range offspring {
 		if n.front.Add(r) {
 			frontChanged = true
 		}
 	}
-
 	// Combine survivors and offspring (deduplicated: a child may rediscover
 	// a surviving parent's vector) and keep the best Population of them.
 	combined := make([]Result, 0, len(n.pop)+len(offspring))
@@ -219,21 +96,7 @@ func (n *NSGA) finish(results []Result) {
 			combined = append(combined, r)
 		}
 	}
-	n.pop = selectSurvivors(combined, n.cfg.Population)
-
-	n.current, n.pending = nil, nil
-	n.gen++
-	// The seed generation establishes the front; staleness counts only
-	// generations that leave an established front unchanged.
-	if frontChanged || n.gen == 1 {
-		n.stale = 0
-	} else {
-		n.stale++
-	}
-	if len(n.pop) == 0 || len(offspring) == 0 || n.gen >= n.cfg.Generations ||
-		n.stale >= n.cfg.Patience || n.exhausted {
-		n.done = true
-	}
+	return selectSurvivors(combined, n.cfg.Population), frontChanged
 }
 
 // selectSurvivors is NSGA-II environmental selection: non-dominated sort

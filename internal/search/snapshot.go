@@ -1,10 +1,12 @@
 package search
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"dmmkit/internal/dspace"
 )
@@ -148,20 +150,13 @@ func evaluatedToState(m map[dspace.Vector]Result) []resultState {
 	for _, r := range m {
 		out = append(out, resultToState(r))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Vector, out[j].Vector
-		for t := range a {
-			if a[t] != b[t] {
-				return a[t] < b[t]
-			}
-		}
-		return false
-	})
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Vector[:], out[j].Vector[:]) < 0 })
 	return out
 }
 
 // geneticSnapshot is the serialized state shared by GA and NSGA; Kind
-// discriminates the two (and Front travels only with NSGA).
+// discriminates the two, Best travels only with GA and Front only with
+// NSGA.
 type geneticSnapshot struct {
 	Kind      string        `json:"kind"`
 	Seed      int64         `json:"seed"`
@@ -176,31 +171,16 @@ type geneticSnapshot struct {
 	Done      bool          `json:"done,omitempty"`
 }
 
-// decodeGenetic parses and validates a genetic snapshot against the
-// restoring strategy's kind and seed.
-func decodeGenetic(data []byte, kind string, seed int64) (*geneticSnapshot, error) {
-	var snap geneticSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("search: decoding %s snapshot: %w", kind, err)
-	}
-	if snap.Kind != kind {
-		return nil, fmt.Errorf("search: snapshot is from a %q strategy, restoring into %q", snap.Kind, kind)
-	}
-	if snap.Seed != seed {
-		return nil, fmt.Errorf("search: snapshot was seeded with %d, strategy with %d", snap.Seed, seed)
-	}
-	return &snap, nil
-}
-
-// Snapshot implements Snapshotter: it serializes the GA's complete state
-// (RNG position, fitness cache, scored population, convergence counters)
-// between generations.
-func (g *GA) Snapshot() ([]byte, error) {
+// Snapshot implements Snapshotter: it serializes the search's complete
+// state (RNG position, fitness cache, parent pool, convergence counters,
+// and the variant's own state: GA's best, NSGA's archive front) between
+// generations.
+func (g *genetic) Snapshot() ([]byte, error) {
 	if g.current != nil {
-		return nil, fmt.Errorf("search: GA snapshot mid-generation (call between Observe and Next)")
+		return nil, fmt.Errorf("search: %s snapshot mid-generation (call between Observe and Next)", strings.ToUpper(g.kind))
 	}
 	snap := geneticSnapshot{
-		Kind:      "ga",
+		Kind:      g.kind,
 		Seed:      g.src.seed,
 		Draws:     g.src.n,
 		Evaluated: evaluatedToState(g.evaluated),
@@ -210,109 +190,91 @@ func (g *GA) Snapshot() ([]byte, error) {
 		Exhausted: g.exhausted,
 		Done:      g.done,
 	}
-	if g.haveBest {
-		b := resultToState(g.best)
-		snap.Best = &b
-	}
+	g.policy.save(&snap)
 	return json.Marshal(snap)
 }
 
-// Restore implements Snapshotter. The receiver must have been built with
-// NewGA using the snapshot's seed and the original config.
-func (g *GA) Restore(data []byte) error {
-	snap, err := decodeGenetic(data, "ga", g.src.seed)
+// Restore implements Snapshotter. The receiver must have been built by
+// the same constructor (NewGA or NewNSGA) with the snapshot's seed and
+// the original config. States the search can never reach — negative
+// counters, or a search still running past its seed generation with no
+// parents to breed from — are rejected.
+func (g *genetic) Restore(data []byte) error {
+	var snap geneticSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return fmt.Errorf("search: decoding %s snapshot: %w", g.kind, err)
+	}
+	switch {
+	case snap.Kind != g.kind:
+		return fmt.Errorf("search: snapshot is from a %q strategy, restoring into %q", snap.Kind, g.kind)
+	case snap.Seed != g.src.seed:
+		return fmt.Errorf("search: snapshot was seeded with %d, strategy with %d", snap.Seed, g.src.seed)
+	case snap.Gen < 0 || snap.Stale < 0:
+		return fmt.Errorf("search: %s snapshot has negative counters (gen %d, stale %d)", g.kind, snap.Gen, snap.Stale)
+	case snap.Gen > 0 && !snap.Done && len(snap.Pop) == 0:
+		return fmt.Errorf("search: %s snapshot continues after generation %d with an empty population", g.kind, snap.Gen)
+	}
+	cache, err := resultsFromState(snap.Evaluated)
 	if err != nil {
 		return err
-	}
-	evaluated := make(map[dspace.Vector]Result, len(snap.Evaluated))
-	for _, s := range snap.Evaluated {
-		r, err := s.result()
-		if err != nil {
-			return err
-		}
-		evaluated[r.Vector] = r
 	}
 	pop, err := resultsFromState(snap.Pop)
 	if err != nil {
 		return err
 	}
-	var best Result
-	if snap.Best != nil {
-		if best, err = snap.Best.result(); err != nil {
-			return err
-		}
+	if err := g.policy.load(&snap); err != nil {
+		return err
 	}
 	g.src.reset(snap.Draws)
-	g.evaluated = evaluated
+	g.evaluated = make(map[dspace.Vector]Result, len(cache))
+	for _, r := range cache {
+		g.evaluated[r.Vector] = r
+	}
 	g.pop = pop
 	g.current, g.pending = nil, nil
 	g.gen = snap.Gen
 	g.stale = snap.Stale
-	g.best, g.haveBest = best, snap.Best != nil
 	g.exhausted = snap.Exhausted
 	g.done = snap.Done
 	return nil
 }
 
-// Snapshot implements Snapshotter: NSGA state is the GA's plus the
-// archive Pareto front (which must round-trip as a sequence — its
-// first-seen tie-breaks depend on insertion history, so it cannot be
-// rebuilt from the unordered fitness cache).
-func (n *NSGA) Snapshot() ([]byte, error) {
-	if n.current != nil {
-		return nil, fmt.Errorf("search: NSGA snapshot mid-generation (call between Observe and Next)")
+// save and load implement geneticPolicy: GA's own state is its best
+// individual.
+func (g *GA) save(snap *geneticSnapshot) {
+	if g.haveBest {
+		b := resultToState(g.best)
+		snap.Best = &b
 	}
-	snap := geneticSnapshot{
-		Kind:      "nsga",
-		Seed:      n.src.seed,
-		Draws:     n.src.n,
-		Evaluated: evaluatedToState(n.evaluated),
-		Pop:       resultsToState(n.pop),
-		Front:     resultsToState(n.front.Results()),
-		Gen:       n.gen,
-		Stale:     n.stale,
-		Exhausted: n.exhausted,
-		Done:      n.done,
-	}
-	return json.Marshal(snap)
 }
 
-// Restore implements Snapshotter. The receiver must have been built with
-// NewNSGA using the snapshot's seed and the original config.
-func (n *NSGA) Restore(data []byte) error {
-	snap, err := decodeGenetic(data, "nsga", n.src.seed)
-	if err != nil {
-		return err
-	}
-	evaluated := make(map[dspace.Vector]Result, len(snap.Evaluated))
-	for _, s := range snap.Evaluated {
-		r, err := s.result()
-		if err != nil {
+func (g *GA) load(snap *geneticSnapshot) error {
+	var best Result
+	if snap.Best != nil {
+		var err error
+		if best, err = snap.Best.result(); err != nil {
 			return err
 		}
-		evaluated[r.Vector] = r
 	}
-	pop, err := resultsFromState(snap.Pop)
-	if err != nil {
-		return err
-	}
-	frontResults, err := resultsFromState(snap.Front)
+	g.best, g.haveBest = best, snap.Best != nil
+	return nil
+}
+
+// save stores the archive front as a sequence: its first-seen tie-breaks
+// depend on insertion history, so it cannot be rebuilt from the unordered
+// fitness cache.
+func (n *NSGA) save(snap *geneticSnapshot) { snap.Front = resultsToState(n.front.Results()) }
+
+func (n *NSGA) load(snap *geneticSnapshot) error {
+	results, err := resultsFromState(snap.Front)
 	if err != nil {
 		return err
 	}
 	var front ParetoFront
-	for _, r := range frontResults {
+	for _, r := range results {
 		front.Add(r)
 	}
-	n.src.reset(snap.Draws)
-	n.evaluated = evaluated
-	n.pop = pop
 	n.front = front
-	n.current, n.pending = nil, nil
-	n.gen = snap.Gen
-	n.stale = snap.Stale
-	n.exhausted = snap.Exhausted
-	n.done = snap.Done
 	return nil
 }
 

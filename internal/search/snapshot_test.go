@@ -287,6 +287,37 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 			t.Fatal("restore of out-of-range genome succeeded, want error")
 		}
 	})
+	t.Run("unreachable-state", func(t *testing.T) {
+		// A running search past its seed generation always has parents,
+		// and its counters never go negative: such snapshots are forged,
+		// and accepting them used to make the next Next panic.
+		for _, tc := range []struct {
+			mk   func() snapStrategy
+			data string
+		}{
+			{func() snapStrategy { return NewGA(1, GAConfig{}) }, `{"kind":"ga","seed":1,"gen":1,"pop":[]}`},
+			{func() snapStrategy { return NewNSGA(1, GAConfig{}) }, `{"kind":"nsga","seed":1,"gen":1,"pop":[]}`},
+			{func() snapStrategy { return NewGA(1, GAConfig{}) }, `{"kind":"ga","seed":1,"gen":-1}`},
+			{func() snapStrategy { return NewNSGA(1, GAConfig{}) }, `{"kind":"nsga","seed":1,"gen":2,"stale":-1,` +
+				`"pop":[{"v":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"f":1,"w":1}]}`},
+		} {
+			s := tc.mk()
+			if err := s.Restore([]byte(tc.data)); err == nil {
+				t.Errorf("restore of %s succeeded, want error", tc.data)
+			}
+			if batch := s.Next(); len(batch) == 0 {
+				t.Errorf("after rejecting %s the fresh strategy proposes nothing", tc.data)
+			}
+		}
+		// A finished search may have no population: it never breeds again.
+		g := NewGA(1, GAConfig{})
+		if err := g.Restore([]byte(`{"kind":"ga","seed":1,"gen":1,"pop":[],"done":true}`)); err != nil {
+			t.Fatalf("restore of a finished empty search: %v", err)
+		}
+		if batch := g.Next(); batch != nil {
+			t.Fatalf("finished search proposed %d vectors", len(batch))
+		}
+	})
 	t.Run("receiver-intact-after-failure", func(t *testing.T) {
 		g := NewGA(3, cfg)
 		runGenerations(t, g, 1)
