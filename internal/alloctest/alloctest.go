@@ -49,6 +49,7 @@ func Run(t *testing.T, f Factory, opts Options) {
 	t.Run("StatsInvariants", func(t *testing.T) { testStats(t, f(), opts) })
 	t.Run("Torture", func(t *testing.T) { testTorture(t, f(), opts, 1) })
 	t.Run("TortureSeed2", func(t *testing.T) { testTorture(t, f(), opts, 2) })
+	t.Run("Contract", func(t *testing.T) { testContract(t, f, opts) })
 }
 
 func testBasic(t *testing.T, m mm.Manager) {
@@ -262,6 +263,114 @@ func testTorture(t *testing.T, m mm.Manager, opts Options, seed int64) {
 	}
 	if s := m.Stats(); s.LiveBytes != 0 {
 		t.Fatalf("LiveBytes=%d after freeing everything", s.LiveBytes)
+	}
+}
+
+// observed is the manager state a failed call must leave untouched and a
+// clone must reproduce.
+type observed struct {
+	stats         mm.Stats
+	foot, maxFoot int64
+	sum           uint64 // StateChecksum, 0 when the manager has none
+}
+
+func observe(m mm.Manager) observed {
+	o := observed{stats: m.Stats(), foot: m.Footprint(), maxFoot: m.MaxFootprint()}
+	if cs, ok := m.(mm.Checksummer); ok {
+		o.sum = cs.StateChecksum()
+	}
+	return o
+}
+
+// churn runs n seeded random allocations and frees against m, freeing
+// only addresses in live, and returns the updated live set.
+func churn(t *testing.T, m mm.Manager, live []heap.Addr, seed int64, n int, opts Options) []heap.Addr {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		if len(live) == 0 || rng.Intn(100) < 55 {
+			size := rng.Int63n(opts.MaxSize) + 1
+			p, err := m.Alloc(mm.Request{Size: size, Tag: rng.Intn(opts.Tags)})
+			if err != nil {
+				t.Fatalf("op %d: Alloc(%d): %v", i, size, err)
+			}
+			live = append(live, p)
+			continue
+		}
+		j := len(live) - 1
+		if !opts.LIFOOnly {
+			j = rng.Intn(len(live))
+		}
+		if err := m.Free(live[j]); err != nil {
+			t.Fatalf("op %d: Free(%#x): %v", i, live[j], err)
+		}
+		live = append(live[:j], live[j+1:]...)
+	}
+	return live
+}
+
+// testContract checks the two properties replay relies on beyond the
+// allocator contract itself: a failing call is counted once and changes
+// nothing else, and a clone evolves exactly like its original without
+// sharing any state with it.
+func testContract(t *testing.T, f Factory, opts Options) {
+	t.Helper()
+	m := f()
+	live := churn(t, m, nil, 11, 200, opts)
+	type failing struct {
+		name string
+		call func() error
+	}
+	fails := []failing{
+		{"Alloc(0)", func() error { _, err := m.Alloc(mm.Request{Size: 0}); return err }},
+		{"Alloc(-3)", func() error { _, err := m.Alloc(mm.Request{Size: -3}); return err }},
+	}
+	if !opts.SkipBadFree {
+		p, err := m.Alloc(mm.Request{Size: 64})
+		if err != nil {
+			t.Fatalf("Alloc: %v", err)
+		}
+		if err := m.Free(p); err != nil {
+			t.Fatalf("Free: %v", err)
+		}
+		fails = append(fails,
+			failing{"double Free", func() error { return m.Free(p) }},
+			failing{"wild Free", func() error { return m.Free(p + 123456) }})
+	}
+	for _, fc := range fails {
+		before := observe(m)
+		if err := fc.call(); err == nil {
+			t.Fatalf("%s succeeded", fc.name)
+		}
+		after := observe(m)
+		if after.stats.FailedOps != before.stats.FailedOps+1 {
+			t.Errorf("%s: FailedOps %d -> %d, want +1", fc.name, before.stats.FailedOps, after.stats.FailedOps)
+		}
+		after.stats.FailedOps = before.stats.FailedOps
+		if after != before {
+			t.Errorf("%s changed state beyond FailedOps:\n before %+v\n after  %+v", fc.name, before, after)
+		}
+	}
+
+	c, ok := m.(mm.Cloner)
+	if !ok {
+		return
+	}
+	cm, err := c.CloneManager()
+	if err != nil {
+		t.Fatalf("CloneManager: %v", err)
+	}
+	churn(t, m, append([]heap.Addr(nil), live...), 12, 300, opts)
+	churn(t, cm, live, 12, 300, opts)
+	orig := observe(m)
+	if got := observe(cm); got != orig {
+		t.Fatalf("clone diverged from its original over the same suffix:\n original %+v\n clone    %+v", orig, got)
+	}
+	if _, err := cm.Alloc(mm.Request{Size: 100}); err != nil {
+		t.Fatalf("Alloc on clone: %v", err)
+	}
+	if got := observe(m); got != orig {
+		t.Errorf("Alloc on the clone changed the original:\n before %+v\n after  %+v", orig, got)
 	}
 }
 
