@@ -22,9 +22,7 @@ var layout = block.Layout{Tags: block.TagsHeader, Info: block.InfoSize, Links: b
 
 // Manager is a Kingsley power-of-two allocator over a simulated heap.
 type Manager struct {
-	mm.Accounting
-	h    *heap.Heap
-	v    block.View
+	mm.Base
 	free [maxClass + 1]heap.Addr // free-list heads per class (log2 gross)
 	// nonEmpty has bit c set iff free[c] != Nil — the segregated-fit
 	// nonempty-bin bitmap (dlmalloc's binmap). Kingsley never scans
@@ -32,7 +30,6 @@ type Manager struct {
 	// diagnostics; it is out-of-band and does not change placement,
 	// footprint, or work accounting.
 	nonEmpty uint32
-	live     mm.Shadow
 }
 
 // setFreeHead writes a class free-list head, keeping nonEmpty in sync.
@@ -47,7 +44,7 @@ func (m *Manager) setFreeHead(c int, b heap.Addr) {
 
 // New returns an empty Kingsley manager owning h.
 func New(h *heap.Heap) *Manager {
-	return &Manager{h: h, v: block.NewView(h, layout), live: mm.NewShadow(h)}
+	return &Manager{Base: mm.NewBase(h, layout)}
 }
 
 // Name implements mm.Manager.
@@ -83,15 +80,15 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 			return heap.Nil, err
 		}
 	}
-	m.setFreeHead(c, m.v.NextFree(b))
+	m.setFreeHead(c, m.V.NextFree(b))
 	m.Charge(mm.CostProbe + mm.CostUnlink)
 	gross := int64(1) << c
 	// Every block on the class-c list already carries a class-c header,
 	// written at refill time and never cleared by Free, so the header
 	// rewrite is byte-idempotent and elided; its work charge remains.
 	m.Charge(mm.CostHeader)
-	p := m.v.Payload(b)
-	m.live.Add(p, req.Size)
+	p := m.V.Payload(b)
+	m.Live.Add(p, req.Size)
 	m.NoteAlloc(req.Size, gross)
 	return p, nil
 }
@@ -104,7 +101,7 @@ func (m *Manager) refill(c int) (heap.Addr, error) {
 	if extent < chunkBytes {
 		extent = chunkBytes
 	}
-	start, err := m.h.Sbrk(extent)
+	start, err := m.V.H.Sbrk(extent)
 	if err != nil {
 		return heap.Nil, err
 	}
@@ -112,13 +109,13 @@ func (m *Manager) refill(c int) (heap.Addr, error) {
 	// Split the extent into blocks; push all but the first.
 	for off := gross; off+gross <= extent; off += gross {
 		b := start + heap.Addr(off)
-		m.v.SetHeader(b, gross, false, false)
-		m.v.SetNextFree(b, m.free[c])
+		m.V.SetHeader(b, gross, false, false)
+		m.V.SetNextFree(b, m.free[c])
 		m.setFreeHead(c, b)
 		m.Charge(mm.CostLink)
 	}
-	m.v.SetHeader(start, gross, false, false)
-	m.v.SetNextFree(start, m.free[c])
+	m.V.SetHeader(start, gross, false, false)
+	m.V.SetNextFree(start, m.free[c])
 	m.setFreeHead(c, start)
 	m.Charge(mm.CostLink)
 	return start, nil
@@ -126,38 +123,20 @@ func (m *Manager) refill(c int) (heap.Addr, error) {
 
 // Free implements mm.Manager.
 func (m *Manager) Free(p heap.Addr) error {
-	req, ok := m.live.Remove(p)
+	req, ok := m.Live.Remove(p)
 	if !ok {
 		m.NoteFail()
 		return mm.ErrBadFree
 	}
-	b := m.v.Block(p)
-	gross := m.v.Size(b)
+	b := m.V.Block(p)
+	gross := m.V.Size(b)
 	c := 64 - bits.LeadingZeros64(uint64(gross-1))
 	m.Charge(mm.CostIndex)
-	m.v.SetNextFree(b, m.free[c])
+	m.V.SetNextFree(b, m.free[c])
 	m.setFreeHead(c, b)
 	m.Charge(mm.CostLink)
 	m.NoteFree(req, gross)
 	return nil
-}
-
-// Heap exposes the simulated heap for tests and diagnostics.
-func (m *Manager) Heap() *heap.Heap { return m.h }
-
-// Footprint implements mm.Manager.
-func (m *Manager) Footprint() int64 { return m.h.Footprint() }
-
-// MaxFootprint implements mm.Manager.
-func (m *Manager) MaxFootprint() int64 { return m.h.MaxFootprint() }
-
-// Reset restores the manager and its heap to the initial state.
-func (m *Manager) Reset() {
-	m.h.Reset()
-	m.free = [maxClass + 1]heap.Addr{}
-	m.nonEmpty = 0
-	m.live.Reset()
-	m.ResetStats()
 }
 
 // FreeBlocks returns the number of blocks on the class-c free list, for
@@ -167,30 +146,19 @@ func (m *Manager) FreeBlocks(c int) int {
 		return 0
 	}
 	n := 0
-	for b := m.free[c]; b != heap.Nil; b = m.v.NextFree(b) {
+	for b := m.free[c]; b != heap.Nil; b = m.V.NextFree(b) {
 		n++
 	}
 	return n
 }
 
-// Clone returns a deep copy of the manager over a clone of its heap:
-// the copy and the original replay independently. The free-list heads
-// and bin bitmap are plain values; only the heap and the shadow table
-// need deep copies.
-func (m *Manager) Clone() *Manager {
+// CloneManager implements mm.Cloner. The free-list heads and bin
+// bitmap are plain values, so only the base needs a deep copy.
+func (m *Manager) CloneManager() (mm.Manager, error) {
 	n := *m
-	n.h = m.h.Clone()
-	n.v.H = n.h
-	n.live = m.live.Clone()
-	return &n
+	n.Base = m.CloneBase()
+	return &n, nil
 }
-
-// CloneManager implements mm.Cloner.
-func (m *Manager) CloneManager() (mm.Manager, error) { return m.Clone(), nil }
-
-// StateChecksum implements mm.Checksummer by digesting the simulated
-// heap, where all in-band allocator state lives.
-func (m *Manager) StateChecksum() uint64 { return m.h.Checksum() }
 
 var (
 	_ mm.Manager     = (*Manager)(nil)

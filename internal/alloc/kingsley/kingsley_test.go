@@ -147,17 +147,3 @@ func TestOversizeRequestFails(t *testing.T) {
 		t.Error("absurd request succeeded")
 	}
 }
-
-func TestReset(t *testing.T) {
-	m := New(heap.New(heap.Config{}))
-	if _, err := m.Alloc(mm.Request{Size: 64}); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-	if m.Footprint() != 0 || m.Stats().Allocs != 0 {
-		t.Error("Reset did not clear state")
-	}
-	if _, err := m.Alloc(mm.Request{Size: 64}); err != nil {
-		t.Errorf("Alloc after Reset: %v", err)
-	}
-}

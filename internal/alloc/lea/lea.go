@@ -44,9 +44,7 @@ var layout = block.Layout{Tags: block.TagsBoth, Info: block.InfoSize | block.Inf
 // Manager is a Lea-style best-fit allocator with boundary tags over a
 // simulated heap.
 type Manager struct {
-	mm.Accounting
-	h   *heap.Heap
-	v   block.View
+	mm.Base
 	cfg Config
 
 	heapStart heap.Addr // first managed address (set on first extension)
@@ -64,9 +62,6 @@ type Manager struct {
 	fastMask  uint16
 	smallMask uint64 // nSmall == 64 exactly
 	largeMask uint32
-
-	mapped map[heap.Addr]int64 // payload -> segment base gross for mmapped blocks
-	live   mm.Shadow
 }
 
 // Bin-head setters keep the nonempty bitmaps in sync with the list heads;
@@ -102,14 +97,11 @@ func (m *Manager) setLargeHead(i int, b heap.Addr) {
 // New returns an empty Lea manager owning h.
 func New(h *heap.Heap, cfg Config) *Manager {
 	cfg.defaults()
-	return &Manager{h: h, v: block.NewView(h, layout), cfg: cfg, mapped: make(map[heap.Addr]int64), live: mm.NewShadow(h)}
+	return &Manager{Base: mm.NewBase(h, layout), cfg: cfg}
 }
 
 // Name implements mm.Manager.
 func (*Manager) Name() string { return "Lea" }
-
-// Heap exposes the simulated heap for tests and diagnostics.
-func (m *Manager) Heap() *heap.Heap { return m.h }
 
 func fastIndex(gross int64) int  { return int(gross / 8) }
 func smallIndex(gross int64) int { return int(gross / 8) }
@@ -138,9 +130,9 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 	// 1. Exact fastbin hit.
 	if gross <= fastMax {
 		if b := m.fast[fastIndex(gross)]; b != heap.Nil {
-			m.setFastHead(fastIndex(gross), m.v.NextFree(b))
+			m.setFastHead(fastIndex(gross), m.V.NextFree(b))
 			m.Charge(mm.CostProbe + mm.CostUnlink)
-			return m.finishAlloc(b, req, gross, false)
+			return m.finishAlloc(b, req, gross)
 		}
 	}
 	// 2. Exact small bin hit.
@@ -148,7 +140,7 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 		if b := m.small[smallIndex(gross)]; b != heap.Nil {
 			m.unlinkSmall(b, smallIndex(gross))
 			m.Charge(mm.CostProbe + mm.CostUnlink)
-			return m.finishAlloc(b, req, gross, true)
+			return m.finishAlloc(b, req, gross)
 		}
 	}
 	// Fastbins are consolidated lazily, under memory pressure only (in
@@ -156,7 +148,7 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 	// the paper describes as Lea coalescing "seldomly".
 	// 3. Best fit over the remaining bins.
 	if b := m.bestFit(gross); b != heap.Nil {
-		return m.finishAlloc(b, req, gross, true)
+		return m.finishAlloc(b, req, gross)
 	}
 	// 4. Carve from top, consolidating and extending as needed.
 	b, err := m.carveTop(gross)
@@ -164,42 +156,29 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 		m.NoteFail()
 		return heap.Nil, err
 	}
-	return m.finishAlloc(b, req, gross, false)
-}
-
-// lookupMapped checks the mmapped-block table, skipping the map probe
-// for every payload in the break region, where no mapped block lives.
-func (m *Manager) lookupMapped(p heap.Addr) (int64, bool) {
-	if len(m.mapped) == 0 || m.h.InSbrkRegion(p) {
-		return 0, false
-	}
-	segGross, ok := m.mapped[p]
-	return segGross, ok
+	return m.finishAlloc(b, req, gross)
 }
 
 func (m *Manager) allocMapped(req mm.Request) (heap.Addr, error) {
 	gross := layout.GrossFor(req.Size)
-	base, err := m.h.Map(gross)
+	base, err := m.V.H.Map(gross)
 	if err != nil {
 		m.NoteFail()
 		return heap.Nil, err
 	}
 	m.Charge(mm.CostSbrk)
-	segGross := m.h.SegmentSize(base)
-	m.v.SetHeader(base, gross, true, true)
-	p := m.v.Payload(base)
-	m.mapped[p] = segGross
-	m.live.Add(p, req.Size)
+	segGross := m.V.H.SegmentSize(base)
+	m.V.SetHeader(base, gross, true, true)
+	p := m.V.Payload(base)
+	m.Live.Add(p, req.Size)
 	m.NoteAlloc(req.Size, segGross)
 	return p, nil
 }
 
 // finishAlloc marks block b used, splits off any viable remainder, and
-// returns the payload address. fromBin records whether b came from a
-// doubly linked bin (footer valid) — needed only for accounting clarity.
-func (m *Manager) finishAlloc(b heap.Addr, req mm.Request, gross int64, fromBin bool) (heap.Addr, error) {
-	_ = fromBin
-	have := m.v.Size(b)
+// returns the payload address.
+func (m *Manager) finishAlloc(b heap.Addr, req mm.Request, gross int64) (heap.Addr, error) {
+	have := m.V.Size(b)
 	if have-gross >= minGross {
 		m.split(b, gross)
 		have = gross
@@ -208,11 +187,16 @@ func (m *Manager) finishAlloc(b heap.Addr, req mm.Request, gross int64, fromBin 
 	// (bins, split, carveTop), so sealing the block only needs the used
 	// bit — a single read-modify-write with bytes identical to the full
 	// header rewrite the policy describes.
-	m.v.SetUsed(b, true)
-	m.setNextPrevUsed(b+heap.Addr(have), true)
+	m.V.SetUsed(b, true)
+	// Mark the physical neighbour, if any below the break, from the size
+	// already held: no header re-read.
+	if next := b + heap.Addr(have); next < m.V.H.Brk() {
+		m.V.SetPrevUsed(next, true)
+		m.Charge(mm.CostHeader)
+	}
 	m.Charge(mm.CostHeader)
-	p := m.v.Payload(b)
-	m.live.Add(p, req.Size)
+	p := m.V.Payload(b)
+	m.Live.Add(p, req.Size)
 	m.NoteAlloc(req.Size, have)
 	return p, nil
 }
@@ -220,11 +204,11 @@ func (m *Manager) finishAlloc(b heap.Addr, req mm.Request, gross int64, fromBin 
 // split carves block b into a used prefix of want bytes and a free
 // remainder placed into a bin.
 func (m *Manager) split(b heap.Addr, want int64) {
-	have := m.v.Size(b)
+	have := m.V.Size(b)
 	rem := b + heap.Addr(want)
-	m.v.SetHeader(b, want, true, m.v.PrevUsed(b))
-	m.v.SetHeader(rem, have-want, false, true)
-	m.v.WriteFooter(rem)
+	m.V.SetHeader(b, want, true, m.V.PrevUsed(b))
+	m.V.SetHeader(rem, have-want, false, true)
+	m.V.WriteFooter(rem)
 	m.NoteSplit()
 	m.binFree(rem)
 }
@@ -255,9 +239,9 @@ func (m *Manager) bestFit(gross int64) heap.Addr {
 	//dmm:hotloop
 	for avail := m.largeMask >> start; avail != 0; avail &= avail - 1 {
 		i := start + bits.TrailingZeros32(avail)
-		for b := m.large[i]; b != heap.Nil; b = m.v.NextFree(b) {
+		for b := m.large[i]; b != heap.Nil; b = m.V.NextFree(b) {
 			m.Charge(mm.CostProbe)
-			if m.v.Size(b) >= gross {
+			if m.V.Size(b) >= gross {
 				m.unlinkLarge(b, i)
 				m.Charge(mm.CostUnlink)
 				return b
@@ -282,7 +266,7 @@ func (m *Manager) carveTop(gross int64) (heap.Addr, error) {
 	}
 	if topSize < gross+minGross {
 		need := gross + minGross - topSize + m.cfg.TopPad
-		start, err := m.h.Sbrk(need)
+		start, err := m.V.H.Sbrk(need)
 		if err != nil {
 			return heap.Nil, err
 		}
@@ -290,20 +274,20 @@ func (m *Manager) carveTop(gross int64) (heap.Addr, error) {
 		if m.top == heap.Nil {
 			m.heapStart = start
 			m.top = start
-			m.v.SetHeader(m.top, int64(m.h.Brk()-start), false, true)
+			m.V.SetHeader(m.top, int64(m.V.H.Brk()-start), false, true)
 		} else {
 			// sbrk extends contiguously past the old break, growing top.
-			m.v.SetHeader(m.top, int64(m.h.Brk()-m.top), false, m.v.PrevUsed(m.top))
+			m.V.SetHeader(m.top, int64(m.V.H.Brk()-m.top), false, m.V.PrevUsed(m.top))
 		}
 		m.Charge(mm.CostHeader)
-		topSize = m.v.Size(m.top)
+		topSize = m.V.Size(m.top)
 	}
 	// Carve from the low end of top.
 	b := m.top
-	prevUsed := m.v.PrevUsed(m.top)
+	prevUsed := m.V.PrevUsed(m.top)
 	m.top = b + heap.Addr(gross)
-	m.v.SetHeader(m.top, topSize-gross, false, true)
-	m.v.SetHeader(b, gross, false, prevUsed) // finishAlloc seals it as used
+	m.V.SetHeader(m.top, topSize-gross, false, true)
+	m.V.SetHeader(b, gross, false, prevUsed) // finishAlloc seals it as used
 	m.Charge(mm.CostHeader)
 	return b, nil
 }
@@ -312,19 +296,22 @@ func (m *Manager) topSize() int64 {
 	if m.top == heap.Nil {
 		return 0
 	}
-	return m.v.Size(m.top)
+	return m.V.Size(m.top)
 }
 
 // Free implements mm.Manager.
 func (m *Manager) Free(p heap.Addr) error {
-	req, ok := m.live.Remove(p)
+	req, ok := m.Live.Remove(p)
 	if !ok {
 		m.NoteFail()
 		return mm.ErrBadFree
 	}
-	if segGross, isMapped := m.lookupMapped(p); isMapped {
-		delete(m.mapped, p)
-		if err := m.h.Unmap(m.v.Block(p)); err != nil {
+	b := m.V.Block(p)
+	if !m.V.H.InSbrkRegion(p) {
+		// Only mmapped blocks live outside the break region, and a
+		// segment keeps its size until it is unmapped.
+		segGross := m.V.H.SegmentSize(b)
+		if err := m.V.H.Unmap(b); err != nil {
 			m.NoteFail()
 			return err
 		}
@@ -332,12 +319,11 @@ func (m *Manager) Free(p heap.Addr) error {
 		m.NoteFree(req, segGross)
 		return nil
 	}
-	b := m.v.Block(p)
-	gross := m.v.Size(b)
+	gross := m.V.Size(b)
 	m.NoteFree(req, gross)
 	if gross <= fastMax {
 		// Deferred coalescing: keep the used bit so neighbours skip it.
-		m.v.SetNextFree(b, m.fast[fastIndex(gross)])
+		m.V.SetNextFree(b, m.fast[fastIndex(gross)])
 		m.setFastHead(fastIndex(gross), b)
 		m.Charge(mm.CostLink)
 		return nil
@@ -352,35 +338,38 @@ func (m *Manager) Free(p heap.Addr) error {
 // top). The caller-supplied size and a tracked prevUsed bit avoid header
 // re-reads; every write carries the same bytes as before.
 func (m *Manager) freeChunk(b heap.Addr, size int64) {
-	prevUsed := m.v.PrevUsed(b)
+	prevUsed := m.V.PrevUsed(b)
 	// Backward merge.
 	if !prevUsed {
-		prevSize := m.v.PrevFooterSize(b)
+		prevSize := m.V.PrevFooterSize(b)
 		prev := b - heap.Addr(prevSize)
 		m.unbin(prev)
 		b = prev
 		size += prevSize
-		prevUsed = m.v.PrevUsed(b)
+		prevUsed = m.V.PrevUsed(b)
 		m.NoteCoalesce()
 	}
 	// Forward merge (with a binned block or with top).
 	next := b + heap.Addr(size)
 	if next == m.top {
-		size += m.v.Size(m.top)
+		size += m.V.Size(m.top)
 		m.top = b
-		m.v.SetHeader(b, size, false, prevUsed)
+		m.V.SetHeader(b, size, false, prevUsed)
 		m.NoteCoalesce()
 		m.Charge(mm.CostHeader)
 		return
 	}
-	if next < m.h.Brk() && !m.v.Used(next) {
+	if next < m.V.H.Brk() && !m.V.Used(next) {
 		m.unbin(next)
-		size += m.v.Size(next)
+		size += m.V.Size(next)
 		m.NoteCoalesce()
 	}
-	m.v.SetHeader(b, size, false, prevUsed)
-	m.v.WriteFooterSized(b, size)
-	m.setNextPrevUsed(b+heap.Addr(size), false)
+	m.V.SetHeader(b, size, false, prevUsed)
+	m.V.WriteFooterSized(b, size)
+	if next := b + heap.Addr(size); next < m.V.H.Brk() {
+		m.V.SetPrevUsed(next, false)
+		m.Charge(mm.CostHeader)
+	}
 	m.Charge(mm.CostHeader)
 	m.binFree(b)
 }
@@ -391,9 +380,9 @@ func (m *Manager) consolidate() {
 	for avail := m.fastMask; avail != 0; avail &= avail - 1 {
 		i := bits.TrailingZeros16(avail)
 		for b := m.fast[i]; b != heap.Nil; {
-			next := m.v.NextFree(b)
+			next := m.V.NextFree(b)
 			m.Charge(mm.CostProbe)
-			m.freeChunk(b, m.v.Size(b))
+			m.freeChunk(b, m.V.Size(b))
 			b = next
 		}
 		m.setFastHead(i, heap.Nil)
@@ -405,7 +394,7 @@ func (m *Manager) maybeTrim() {
 	if m.top == heap.Nil {
 		return
 	}
-	size := m.v.Size(m.top)
+	size := m.V.Size(m.top)
 	if size < m.cfg.TrimThreshold {
 		return
 	}
@@ -414,35 +403,25 @@ func (m *Manager) maybeTrim() {
 	if release <= 0 {
 		return
 	}
-	if err := m.h.ShrinkBrk(release); err != nil {
+	if err := m.V.H.ShrinkBrk(release); err != nil {
 		return // cannot trim (should not happen); keep the memory
 	}
 	m.Charge(mm.CostTrim)
-	m.v.SetHeader(m.top, size-release, false, m.v.PrevUsed(m.top))
+	m.V.SetHeader(m.top, size-release, false, m.V.PrevUsed(m.top))
 	m.Charge(mm.CostHeader)
-}
-
-// setNextPrevUsed updates the prevUsed bit of the physical neighbour at
-// next (or nothing when it is at/past the break). Callers compute next
-// from a size they already hold, sparing the header re-read.
-func (m *Manager) setNextPrevUsed(next heap.Addr, used bool) {
-	if next < m.h.Brk() {
-		m.v.SetPrevUsed(next, used)
-		m.Charge(mm.CostHeader)
-	}
 }
 
 // binFree inserts the free block b into the small or large bin for its
 // size. Small bins are LIFO; large bins are kept sorted ascending by size
 // so bestFit takes the first fit.
 func (m *Manager) binFree(b heap.Addr) {
-	size := m.v.Size(b)
+	size := m.V.Size(b)
 	if size <= smallMax {
 		i := smallIndex(size)
-		m.v.SetNextFree(b, m.small[i])
-		m.v.SetPrevFree(b, heap.Nil)
+		m.V.SetNextFree(b, m.small[i])
+		m.V.SetPrevFree(b, heap.Nil)
 		if m.small[i] != heap.Nil {
-			m.v.SetPrevFree(m.small[i], b)
+			m.V.SetPrevFree(m.small[i], b)
 		}
 		m.setSmallHead(i, b)
 		m.Charge(mm.CostLink)
@@ -451,19 +430,19 @@ func (m *Manager) binFree(b heap.Addr) {
 	i := largeIndex(size)
 	var prev heap.Addr
 	cur := m.large[i]
-	for cur != heap.Nil && m.v.Size(cur) < size {
+	for cur != heap.Nil && m.V.Size(cur) < size {
 		m.Charge(mm.CostProbe)
-		prev, cur = cur, m.v.NextFree(cur)
+		prev, cur = cur, m.V.NextFree(cur)
 	}
-	m.v.SetNextFree(b, cur)
-	m.v.SetPrevFree(b, prev)
+	m.V.SetNextFree(b, cur)
+	m.V.SetPrevFree(b, prev)
 	if cur != heap.Nil {
-		m.v.SetPrevFree(cur, b)
+		m.V.SetPrevFree(cur, b)
 	}
 	if prev == heap.Nil {
 		m.setLargeHead(i, b)
 	} else {
-		m.v.SetNextFree(prev, b)
+		m.V.SetNextFree(prev, b)
 	}
 	m.Charge(mm.CostLink)
 }
@@ -471,9 +450,9 @@ func (m *Manager) binFree(b heap.Addr) {
 // unbin removes a known-free block from whichever doubly linked bin holds
 // it (used when coalescing neighbours).
 func (m *Manager) unbin(b heap.Addr) {
-	size := m.v.Size(b)
-	next := m.v.NextFree(b)
-	prev := m.v.PrevFree(b)
+	size := m.V.Size(b)
+	next := m.V.NextFree(b)
+	prev := m.V.PrevFree(b)
 	if prev == heap.Nil {
 		if size <= smallMax {
 			m.setSmallHead(smallIndex(size), next)
@@ -481,52 +460,33 @@ func (m *Manager) unbin(b heap.Addr) {
 			m.setLargeHead(largeIndex(size), next)
 		}
 	} else {
-		m.v.SetNextFree(prev, next)
+		m.V.SetNextFree(prev, next)
 	}
 	if next != heap.Nil {
-		m.v.SetPrevFree(next, prev)
+		m.V.SetPrevFree(next, prev)
 	}
 	m.Charge(mm.CostUnlink)
 }
 
 func (m *Manager) unlinkSmall(b heap.Addr, i int) {
-	next := m.v.NextFree(b)
+	next := m.V.NextFree(b)
 	m.setSmallHead(i, next)
 	if next != heap.Nil {
-		m.v.SetPrevFree(next, heap.Nil)
+		m.V.SetPrevFree(next, heap.Nil)
 	}
 }
 
 func (m *Manager) unlinkLarge(b heap.Addr, i int) {
-	next := m.v.NextFree(b)
-	prev := m.v.PrevFree(b)
+	next := m.V.NextFree(b)
+	prev := m.V.PrevFree(b)
 	if prev == heap.Nil {
 		m.setLargeHead(i, next)
 	} else {
-		m.v.SetNextFree(prev, next)
+		m.V.SetNextFree(prev, next)
 	}
 	if next != heap.Nil {
-		m.v.SetPrevFree(next, prev)
+		m.V.SetPrevFree(next, prev)
 	}
-}
-
-// Footprint implements mm.Manager.
-func (m *Manager) Footprint() int64 { return m.h.Footprint() }
-
-// MaxFootprint implements mm.Manager.
-func (m *Manager) MaxFootprint() int64 { return m.h.MaxFootprint() }
-
-// Reset restores the manager and its heap to the initial state.
-func (m *Manager) Reset() {
-	m.h.Reset()
-	m.heapStart, m.top = heap.Nil, heap.Nil
-	m.fast = [nFastBins]heap.Addr{}
-	m.small = [nSmall]heap.Addr{}
-	m.large = [nLarge]heap.Addr{}
-	m.fastMask, m.smallMask, m.largeMask = 0, 0, 0
-	m.mapped = make(map[heap.Addr]int64)
-	m.live.Reset()
-	m.ResetStats()
 }
 
 // CheckInvariants walks the managed sbrk region verifying that blocks tile
@@ -536,9 +496,9 @@ func (m *Manager) CheckInvariants() error {
 	if m.top == heap.Nil {
 		return nil
 	}
-	end := m.h.Brk()
+	end := m.V.H.Brk()
 	foundTop := false
-	err := m.v.Walk(m.heapStart, end, func(bi block.BlockInfo) error {
+	err := m.V.Walk(m.heapStart, end, func(bi block.BlockInfo) error {
 		if bi.Addr == m.top {
 			foundTop = true
 			if bi.Addr+heap.Addr(bi.Size) != end {
@@ -556,30 +516,13 @@ func (m *Manager) CheckInvariants() error {
 	return nil
 }
 
-// Clone returns a deep copy of the manager over a clone of its heap:
-// the copy and the original replay independently. The bins, bitmaps and
-// config are plain values; the heap, the mmapped-block table and the
-// shadow table need deep copies.
-func (m *Manager) Clone() *Manager {
+// CloneManager implements mm.Cloner. The bins, bitmaps and config are
+// plain values, so only the base needs a deep copy.
+func (m *Manager) CloneManager() (mm.Manager, error) {
 	n := *m
-	n.h = m.h.Clone()
-	n.v.H = n.h
-	if m.mapped != nil {
-		n.mapped = make(map[heap.Addr]int64, len(m.mapped))
-		for k, v := range m.mapped {
-			n.mapped[k] = v
-		}
-	}
-	n.live = m.live.Clone()
-	return &n
+	n.Base = m.CloneBase()
+	return &n, nil
 }
-
-// CloneManager implements mm.Cloner.
-func (m *Manager) CloneManager() (mm.Manager, error) { return m.Clone(), nil }
-
-// StateChecksum implements mm.Checksummer by digesting the simulated
-// heap, where all in-band allocator state lives.
-func (m *Manager) StateChecksum() uint64 { return m.h.Checksum() }
 
 var (
 	_ mm.Manager     = (*Manager)(nil)

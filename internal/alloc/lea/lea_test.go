@@ -261,17 +261,3 @@ func TestFootprintTracksLiveNotPeakFreelists(t *testing.T) {
 		t.Errorf("MaxFootprint %d too large for churn of %d total bytes", m.MaxFootprint(), total)
 	}
 }
-
-func TestReset(t *testing.T) {
-	m := newMgr()
-	if _, err := m.Alloc(mm.Request{Size: 64}); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-	if m.Footprint() != 0 || m.Stats().Allocs != 0 {
-		t.Error("Reset did not clear state")
-	}
-	if _, err := m.Alloc(mm.Request{Size: 64}); err != nil {
-		t.Errorf("Alloc after Reset: %v", err)
-	}
-}

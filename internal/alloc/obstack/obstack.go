@@ -3,6 +3,7 @@ package obstack
 import (
 	"sort"
 
+	"dmmkit/internal/block"
 	"dmmkit/internal/heap"
 	"dmmkit/internal/mm"
 )
@@ -33,8 +34,7 @@ type chunk struct {
 
 // Manager is an obstack allocator over a simulated heap.
 type Manager struct {
-	mm.Accounting
-	h         *heap.Heap
+	mm.Base
 	chunkSize int64
 	chunks    []chunk
 	// objs is the allocation stack; index 0 is the oldest. It is sorted
@@ -50,14 +50,11 @@ func New(h *heap.Heap, chunkSize int64) *Manager {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	return &Manager{h: h, chunkSize: chunkSize}
+	return &Manager{Base: mm.NewBase(h, block.Layout{}), chunkSize: chunkSize}
 }
 
 // Name implements mm.Manager.
 func (*Manager) Name() string { return "Obstacks" }
-
-// Heap exposes the simulated heap for tests and diagnostics.
-func (m *Manager) Heap() *heap.Heap { return m.h }
 
 // Alloc implements mm.Manager.
 func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
@@ -73,14 +70,14 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 		if gross+chunkHdr > sz {
 			sz = gross + chunkHdr
 		}
-		base, err := m.h.Map(sz)
+		base, err := m.V.H.Map(sz)
 		if err != nil {
 			m.NoteFail()
 			return heap.Nil, err
 		}
 		m.Charge(mm.CostSbrk)
-		m.h.PutU32(base, uint32(sz))
-		m.chunks = append(m.chunks, chunk{base: base, size: m.h.SegmentSize(base), off: chunkHdr})
+		m.V.H.PutU32(base, uint32(sz))
+		m.chunks = append(m.chunks, chunk{base: base, size: m.V.H.SegmentSize(base), off: chunkHdr})
 		ci = len(m.chunks) - 1
 	}
 	c := &m.chunks[ci]
@@ -132,7 +129,7 @@ func (m *Manager) pop() {
 		// chunks allocated after it are necessarily empty now.
 		for len(m.chunks)-1 > o.chunk {
 			last := m.chunks[len(m.chunks)-1]
-			if err := m.h.Unmap(last.base); err != nil {
+			if err := m.V.H.Unmap(last.base); err != nil {
 				panic(err) // chunk bookkeeping corrupt: programmer error
 			}
 			m.Charge(mm.CostTrim)
@@ -144,26 +141,12 @@ func (m *Manager) pop() {
 	// If the top chunk is empty and not the only one, release it too.
 	for len(m.chunks) > 0 && m.chunks[len(m.chunks)-1].off == chunkHdr && len(m.objs) == 0 {
 		last := m.chunks[len(m.chunks)-1]
-		if err := m.h.Unmap(last.base); err != nil {
+		if err := m.V.H.Unmap(last.base); err != nil {
 			panic(err)
 		}
 		m.Charge(mm.CostTrim)
 		m.chunks = m.chunks[:len(m.chunks)-1]
 	}
-}
-
-// Footprint implements mm.Manager.
-func (m *Manager) Footprint() int64 { return m.h.Footprint() }
-
-// MaxFootprint implements mm.Manager.
-func (m *Manager) MaxFootprint() int64 { return m.h.MaxFootprint() }
-
-// Reset restores the manager and its heap to the initial state.
-func (m *Manager) Reset() {
-	m.h.Reset()
-	m.chunks = nil
-	m.objs = nil
-	m.ResetStats()
 }
 
 // DeadBytes reports bytes held by dead-but-unreclaimed objects: the
@@ -181,23 +164,15 @@ func (m *Manager) DeadBytes() int64 {
 // Depth returns the current object-stack depth (live + deferred dead).
 func (m *Manager) Depth() int { return len(m.objs) }
 
-// Clone returns a deep copy of the manager over a clone of its heap:
-// the copy and the original replay independently. Chunks and objects
-// are value types, so copying the slices suffices.
-func (m *Manager) Clone() *Manager {
+// CloneManager implements mm.Cloner. Chunks and objects are value
+// types, so copying the slices suffices.
+func (m *Manager) CloneManager() (mm.Manager, error) {
 	n := *m
-	n.h = m.h.Clone()
+	n.Base = m.CloneBase()
 	n.chunks = append([]chunk(nil), m.chunks...)
 	n.objs = append([]object(nil), m.objs...)
-	return &n
+	return &n, nil
 }
-
-// CloneManager implements mm.Cloner.
-func (m *Manager) CloneManager() (mm.Manager, error) { return m.Clone(), nil }
-
-// StateChecksum implements mm.Checksummer by digesting the simulated
-// heap, where all in-band allocator state lives.
-func (m *Manager) StateChecksum() uint64 { return m.h.Checksum() }
 
 var (
 	_ mm.Manager     = (*Manager)(nil)

@@ -161,17 +161,6 @@ func TestStatsLiveBytes(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	m := New(heap.New(heap.Config{}), 0)
-	if _, err := m.Alloc(mm.Request{Size: 64}); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-	if m.Footprint() != 0 || m.Depth() != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
 // TestFreeFindsLiveObjectsOnly drives a random program of allocations,
 // frees in any order, double frees and wild frees, and checks against a
 // reference set of live payloads that Free succeeds exactly for live

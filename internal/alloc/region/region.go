@@ -43,12 +43,9 @@ type regionState struct {
 
 // Manager is a region/partition allocator over a simulated heap.
 type Manager struct {
-	mm.Accounting
-	h       *heap.Heap
-	v       block.View
+	mm.Base
 	sizer   Sizer
 	regions map[int]*regionState
-	live    mm.Shadow
 }
 
 // New returns a region manager owning h. If sizer is nil, DefaultSizer is
@@ -57,20 +54,11 @@ func New(h *heap.Heap, sizer Sizer) *Manager {
 	if sizer == nil {
 		sizer = DefaultSizer
 	}
-	return &Manager{
-		h:       h,
-		v:       block.NewView(h, layout),
-		sizer:   sizer,
-		regions: make(map[int]*regionState),
-		live:    mm.NewShadow(h),
-	}
+	return &Manager{Base: mm.NewBase(h, layout), sizer: sizer, regions: make(map[int]*regionState)}
 }
 
 // Name implements mm.Manager.
 func (*Manager) Name() string { return "Regions" }
-
-// Heap exposes the simulated heap for tests and diagnostics.
-func (m *Manager) Heap() *heap.Heap { return m.h }
 
 func (m *Manager) gross(payload int64) int64 {
 	g := payload + hdrBytes
@@ -108,7 +96,7 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 		if n < 1 {
 			n = 1
 		}
-		start, err := m.h.Sbrk(gross * n)
+		start, err := m.V.H.Sbrk(gross * n)
 		if err != nil {
 			m.NoteFail()
 			return heap.Nil, err
@@ -116,48 +104,48 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 		m.Charge(mm.CostSbrk)
 		for i := n - 1; i >= 0; i-- {
 			nb := start + heap.Addr(i*gross)
-			m.v.SetHeader(nb, gross, false, false)
-			m.h.PutU32(nb+4, uint32(req.Tag))
-			m.v.SetNextFree(nb, r.free)
+			m.V.SetHeader(nb, gross, false, false)
+			m.V.H.PutU32(nb+4, uint32(req.Tag))
+			m.V.SetNextFree(nb, r.free)
 			r.free = nb
 			m.Charge(mm.CostLink)
 		}
 		b = r.free
 	}
-	r.free = m.v.NextFree(b)
+	r.free = m.V.NextFree(b)
 	m.Charge(mm.CostProbe + mm.CostUnlink)
-	p := m.v.Payload(b)
-	m.live.Add(p, req.Size)
+	p := m.V.Payload(b)
+	m.Live.Add(p, req.Size)
 	m.NoteAlloc(req.Size, gross)
 	return p, nil
 }
 
 func (m *Manager) allocOversize(req mm.Request) (heap.Addr, error) {
 	gross := m.gross(req.Size)
-	b, err := m.h.Sbrk(gross)
+	b, err := m.V.H.Sbrk(gross)
 	if err != nil {
 		m.NoteFail()
 		return heap.Nil, err
 	}
 	m.Charge(mm.CostSbrk)
-	m.v.SetHeader(b, gross, false, false)
-	m.h.PutU32(b+4, uint32(req.Tag)|oversizeBit)
-	p := m.v.Payload(b)
-	m.live.Add(p, req.Size)
+	m.V.SetHeader(b, gross, false, false)
+	m.V.H.PutU32(b+4, uint32(req.Tag)|oversizeBit)
+	p := m.V.Payload(b)
+	m.Live.Add(p, req.Size)
 	m.NoteAlloc(req.Size, gross)
 	return p, nil
 }
 
 // Free implements mm.Manager.
 func (m *Manager) Free(p heap.Addr) error {
-	req, ok := m.live.Remove(p)
+	req, ok := m.Live.Remove(p)
 	if !ok {
 		m.NoteFail()
 		return mm.ErrBadFree
 	}
-	b := m.v.Block(p)
-	gross := m.v.Size(b)
-	word1 := m.h.U32(b + 4)
+	b := m.V.Block(p)
+	gross := m.V.Size(b)
+	word1 := m.V.H.U32(b + 4)
 	if word1&oversizeBit != 0 {
 		// Oversize blocks are simply abandoned (their memory is not
 		// reusable by the fixed-size lists); a real design would avoid
@@ -170,25 +158,11 @@ func (m *Manager) Free(p heap.Addr) error {
 		m.NoteFail()
 		return mm.ErrBadFree
 	}
-	m.v.SetNextFree(b, r.free)
+	m.V.SetNextFree(b, r.free)
 	r.free = b
 	m.Charge(mm.CostIndex + mm.CostLink)
 	m.NoteFree(req, gross)
 	return nil
-}
-
-// Footprint implements mm.Manager.
-func (m *Manager) Footprint() int64 { return m.h.Footprint() }
-
-// MaxFootprint implements mm.Manager.
-func (m *Manager) MaxFootprint() int64 { return m.h.MaxFootprint() }
-
-// Reset restores the manager and its heap to the initial state.
-func (m *Manager) Reset() {
-	m.h.Reset()
-	m.regions = make(map[int]*regionState)
-	m.live.Reset()
-	m.ResetStats()
 }
 
 // RegionBlockSize reports the fixed block size of the region for tag, or 0
@@ -200,15 +174,13 @@ func (m *Manager) RegionBlockSize(tag int) int64 {
 	return 0
 }
 
-// Clone returns a deep copy of the manager over a clone of its heap:
-// the copy and the original replay independently. The per-tag region
-// states are copied; the Sizer is shared, which is safe because sizing
-// policies are pure functions of their arguments (ProfileSizer closes
-// over a profile it only reads).
-func (m *Manager) Clone() *Manager {
+// CloneManager implements mm.Cloner. The per-tag region states are
+// copied; the Sizer is shared, which is safe because sizing policies are
+// pure functions of their arguments (ProfileSizer closes over a profile
+// it only reads).
+func (m *Manager) CloneManager() (mm.Manager, error) {
 	n := *m
-	n.h = m.h.Clone()
-	n.v.H = n.h
+	n.Base = m.CloneBase()
 	if m.regions != nil {
 		n.regions = make(map[int]*regionState, len(m.regions))
 		for k, r := range m.regions {
@@ -216,16 +188,8 @@ func (m *Manager) Clone() *Manager {
 			n.regions[k] = &cr
 		}
 	}
-	n.live = m.live.Clone()
-	return &n
+	return &n, nil
 }
-
-// CloneManager implements mm.Cloner.
-func (m *Manager) CloneManager() (mm.Manager, error) { return m.Clone(), nil }
-
-// StateChecksum implements mm.Checksummer by digesting the simulated
-// heap, where all in-band allocator state lives.
-func (m *Manager) StateChecksum() uint64 { return m.h.Checksum() }
 
 var (
 	_ mm.Manager     = (*Manager)(nil)

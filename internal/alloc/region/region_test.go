@@ -121,14 +121,3 @@ func TestNeverReturnsMemory(t *testing.T) {
 		t.Errorf("footprint shrank from %d to %d; regions never release", peak, m.Footprint())
 	}
 }
-
-func TestReset(t *testing.T) {
-	m := New(heap.New(heap.Config{}), nil)
-	if _, err := m.Alloc(mm.Request{Size: 64, Tag: 9}); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-	if m.Footprint() != 0 || m.RegionBlockSize(9) != 0 {
-		t.Error("Reset did not clear regions")
-	}
-}

@@ -77,6 +77,3 @@ func (s *Set) InsertZero(i int) {
 	high := s.w[wi] &^ (1<<off - 1)
 	s.w[wi] = low | high<<1
 }
-
-// Reset empties the set.
-func (s *Set) Reset() { s.w = s.w[:0] }

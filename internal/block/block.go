@@ -279,9 +279,6 @@ func (v View) Payload(b heap.Addr) heap.Addr { return b + heap.Addr(v.L.HeaderBy
 // Block returns the block address for a payload address.
 func (v View) Block(p heap.Addr) heap.Addr { return p - heap.Addr(v.L.HeaderBytes()) }
 
-// UserBytes returns the payload capacity of the block at b.
-func (v View) UserBytes(b heap.Addr) int64 { return v.Size(b) - v.L.Overhead() }
-
 // Free-list links live at the start of the payload while a block is free.
 
 // NextFree returns the forward free-list link of the free block at b.

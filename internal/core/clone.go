@@ -4,21 +4,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"slices"
 
 	"dmmkit/internal/mm"
 )
 
-// Clone returns a deep copy of the custom manager over a clone of its
-// heap: the copy and the original replay independently. Pools, keys,
-// the nonempty bitset, the out-of-band size/pool tables, the direct-block
-// map and the shadow table are deep-copied; the design vector, parameters
-// and layout are read-only after construction and shared.
-func (m *Custom) Clone() *Custom {
+// CloneManager implements mm.Cloner. Pools, keys, the nonempty bitset
+// and the out-of-band size/pool tables are deep-copied with the base;
+// the design vector and parameters are read-only after construction and
+// shared.
+func (m *Custom) CloneManager() (mm.Manager, error) {
 	n := *m
-	n.h = m.h.Clone()
-	n.v.H = n.h
+	n.Base = m.CloneBase()
 	n.byID = make([]*pool, len(m.byID))
 	n.pools = make([]*pool, len(m.pools))
 	for id, p := range m.byID {
@@ -30,17 +27,8 @@ func (m *Custom) Clone() *Custom {
 	n.ne = m.ne.Clone()
 	n.grossOf = m.grossOf.Clone()
 	n.freeKey = m.freeKey.Clone()
-	n.direct = maps.Clone(m.direct)
-	n.live = m.live.Clone()
-	return &n
+	return &n, nil
 }
-
-// CloneManager implements mm.Cloner.
-func (m *Custom) CloneManager() (mm.Manager, error) { return m.Clone(), nil }
-
-// StateChecksum implements mm.Checksummer by digesting the simulated
-// heap, where all in-band manager state lives.
-func (m *Custom) StateChecksum() uint64 { return m.h.Checksum() }
 
 // CloneManager implements mm.Cloner for the phase-dispatching manager:
 // every atomic per-phase manager is cloned and the handle slots, which

@@ -16,12 +16,9 @@ import (
 // over a simulated heap. Its behaviour is entirely determined by the
 // decision vector and params it was built from.
 type Custom struct {
-	mm.Accounting
-	h   *heap.Heap
-	v   block.View
+	mm.Base
 	vec dspace.Vector
 	par Params
-	lay block.Layout
 
 	tagged bool // layout carries in-band metadata (A3 != none)
 
@@ -39,12 +36,10 @@ type Custom struct {
 	// Out-of-band side tables, indexed by block address over the break
 	// region. grossOf holds untagged blocks' gross sizes in units of
 	// heap.Align; freeKey holds the id+1 of the pool each binned free
-	// block sits in. Direct blocks live in mapped segments and are rare,
-	// so they keep a map, consulted only for addresses outside the break.
+	// block sits in. Direct blocks live in mapped segments, whose sizes
+	// the heap already records.
 	grossOf mm.AddrMap
 	freeKey mm.AddrMap
-	direct  map[heap.Addr]int64 // payload -> segment gross for direct blocks
-	live    mm.Shadow
 
 	name string
 }
@@ -65,20 +60,15 @@ func NewCustom(h *heap.Heap, vec dspace.Vector, par Params) (*Custom, error) {
 		}
 	}
 	lay := layoutFor(vec)
-	m := &Custom{
-		h:       h,
+	return &Custom{
+		Base:    mm.NewBase(h, lay),
 		vec:     vec,
 		par:     par,
-		lay:     lay,
 		tagged:  lay.Tags != block.TagsNone,
 		grossOf: mm.NewAddrMap(h),
 		freeKey: mm.NewAddrMap(h),
-		direct:  make(map[heap.Addr]int64),
-		live:    mm.NewShadow(h),
 		name:    "Custom",
-	}
-	m.v = block.NewView(h, lay)
-	return m, nil
+	}, nil
 }
 
 // layoutFor derives the in-band block layout from the A1/A3/A4 decisions.
@@ -121,11 +111,8 @@ func (m *Custom) Vector() dspace.Vector { return m.vec }
 // ParamsUsed returns the numeric parameters in effect (after defaults).
 func (m *Custom) ParamsUsed() Params { return m.par }
 
-// Heap exposes the simulated heap for tests and diagnostics.
-func (m *Custom) Heap() *heap.Heap { return m.h }
-
-func (m *Custom) hasStatus() bool   { return m.lay.Info.Has(block.InfoStatus) }
-func (m *Custom) hasPrevSize() bool { return m.lay.Info.Has(block.InfoPrevSize) }
+func (m *Custom) hasStatus() bool   { return m.V.L.Info&block.InfoStatus != 0 }
+func (m *Custom) hasPrevSize() bool { return m.V.L.Info&block.InfoPrevSize != 0 }
 
 func (m *Custom) canSplit() bool {
 	return m.vec.Flex == dspace.SplitOnly || m.vec.Flex == dspace.SplitCoalesce
@@ -139,7 +126,7 @@ func (m *Custom) canCoalesce() bool {
 // untagged layouts, from the partition table.
 func (m *Custom) sizeOf(b heap.Addr) int64 {
 	if m.tagged {
-		return m.v.Size(b)
+		return m.V.Size(b)
 	}
 	units, _ := m.grossOf.Get(b)
 	return int64(units) * heap.Align
@@ -257,7 +244,7 @@ func (m *Custom) Alloc(req mm.Request) (heap.Addr, error) {
 		return heap.Nil, mm.ErrBadSize
 	}
 	m.phase = req.Phase
-	base := m.lay.GrossFor(req.Size)
+	base := m.V.L.GrossFor(req.Size)
 	if m.par.DirectThreshold > 0 && base >= m.par.DirectThreshold {
 		return m.allocDirect(req)
 	}
@@ -419,7 +406,7 @@ func (m *Custom) refill(phase int, class int64, gross int64) (heap.Addr, int64, 
 	if n < 1 {
 		n = 1
 	}
-	start, err := m.h.Sbrk(n * gross)
+	start, err := m.V.H.Sbrk(n * gross)
 	if err != nil {
 		return heap.Nil, 0, err
 	}
@@ -446,7 +433,7 @@ func (m *Custom) initBlock(b heap.Addr, gross int64, prevFree bool) {
 		}
 		return
 	}
-	m.v.SetHeader(b, gross, false, !prevFree)
+	m.V.SetHeader(b, gross, false, !prevFree)
 	m.writeNeighborInfo(b)
 	m.Charge(mm.CostHeader)
 }
@@ -454,7 +441,7 @@ func (m *Custom) initBlock(b heap.Addr, gross int64, prevFree bool) {
 // allocExtent serves one block with a dedicated system extent (used by
 // untagged/rigid variable managers and oversize dedicated requests).
 func (m *Custom) allocExtent(gross int64) (heap.Addr, error) {
-	b, err := m.h.Sbrk(gross)
+	b, err := m.V.H.Sbrk(gross)
 	if err != nil {
 		return heap.Nil, err
 	}
@@ -478,23 +465,22 @@ func (m *Custom) allocDedicated(req mm.Request, gross int64) (heap.Addr, error) 
 // allocDirect serves a request from a dedicated mapped segment (the
 // designed large-block pool; returned to the system on free).
 func (m *Custom) allocDirect(req mm.Request) (heap.Addr, error) {
-	gross := m.lay.GrossFor(req.Size)
-	base, err := m.h.Map(gross)
+	gross := m.V.L.GrossFor(req.Size)
+	base, err := m.V.H.Map(gross)
 	if err != nil {
 		m.NoteFail()
 		return heap.Nil, err
 	}
 	m.Charge(mm.CostSbrk)
-	segGross := m.h.SegmentSize(base)
+	segGross := m.V.H.SegmentSize(base)
 	var p heap.Addr
 	if m.tagged {
-		m.v.SetHeader(base, gross, true, true)
-		p = m.v.Payload(base)
+		m.V.SetHeader(base, gross, true, true)
+		p = m.V.Payload(base)
 	} else {
 		p = base
 	}
-	m.direct[p] = segGross
-	m.live.Add(p, req.Size)
+	m.Live.Add(p, req.Size)
 	m.NoteAlloc(req.Size, segGross)
 	return p, nil
 }
@@ -503,37 +489,37 @@ func (m *Custom) allocDirect(req mm.Request) (heap.Addr, error) {
 func (m *Custom) sealAlloc(b heap.Addr, gross int64, req mm.Request) heap.Addr {
 	var p heap.Addr
 	if m.tagged {
-		m.v.SetHeader(b, gross, true, m.prevUsedBit(b))
+		m.V.SetHeader(b, gross, true, m.prevUsedBit(b))
 		if m.hasPrevSize() {
 			next := b + heap.Addr(gross)
-			if next < m.h.Brk() {
-				m.v.SetPrevSize(next, gross)
+			if next < m.V.H.Brk() {
+				m.V.SetPrevSize(next, gross)
 			}
 		}
 		m.markNeighborOfFree(b, true)
 		m.Charge(mm.CostHeader)
-		p = m.v.Payload(b)
+		p = m.V.Payload(b)
 	} else {
 		p = b
 	}
-	m.live.Add(p, req.Size)
+	m.Live.Add(p, req.Size)
 	m.NoteAlloc(req.Size, gross)
 	return p
 }
 
 // Free implements mm.Manager.
 func (m *Custom) Free(p heap.Addr) error {
-	req, ok := m.live.Remove(p)
+	req, ok := m.Live.Remove(p)
 	if !ok {
 		m.NoteFail()
 		return mm.ErrBadFree
 	}
-	if !m.h.InSbrkRegion(p) {
+	if !m.V.H.InSbrkRegion(p) {
 		return m.freeDirect(p, req)
 	}
 	var b heap.Addr
 	if m.tagged {
-		b = m.v.Block(p)
+		b = m.V.Block(p)
 	} else {
 		b = p
 	}
@@ -542,7 +528,7 @@ func (m *Custom) Free(p heap.Addr) error {
 
 	switch m.vec.CoalesceWhen {
 	case dspace.Always:
-		m.v.SetUsed(b, false)
+		m.V.SetUsed(b, false)
 		if merged, size := m.coalesce(b); size >= 0 {
 			m.binFree(merged)
 		}
@@ -556,7 +542,7 @@ func (m *Custom) Free(p heap.Addr) error {
 		}
 	default: // Never
 		if m.tagged && m.hasStatus() {
-			m.v.SetUsed(b, false)
+			m.V.SetUsed(b, false)
 			m.markNeighborOfFree(b, false)
 		}
 		if m.tagged {
@@ -568,44 +554,24 @@ func (m *Custom) Free(p heap.Addr) error {
 }
 
 // freeDirect returns a direct block's segment to the system. Only direct
-// blocks live outside the break region.
+// blocks live outside the break region, each at the base of a segment
+// that keeps its size until it is unmapped.
 func (m *Custom) freeDirect(p heap.Addr, req int64) error {
-	segGross, ok := m.direct[p]
-	if !ok {
-		m.invariant(p, "is live outside the break region but not a direct block")
-	}
-	delete(m.direct, p)
 	base := p
 	if m.tagged {
-		base = m.v.Block(p)
+		base = m.V.Block(p)
 	}
-	if err := m.h.Unmap(base); err != nil {
+	segGross := m.V.H.SegmentSize(base)
+	if segGross == 0 {
+		m.invariant(p, "is live outside the break region but not a direct block")
+	}
+	if err := m.V.H.Unmap(base); err != nil {
 		m.NoteFail()
 		return err
 	}
 	m.Charge(mm.CostTrim)
 	m.NoteFree(req, segGross)
 	return nil
-}
-
-// Footprint implements mm.Manager.
-func (m *Custom) Footprint() int64 { return m.h.Footprint() }
-
-// MaxFootprint implements mm.Manager.
-func (m *Custom) MaxFootprint() int64 { return m.h.MaxFootprint() }
-
-// Reset restores the manager and its heap to the initial state.
-func (m *Custom) Reset() {
-	m.h.Reset()
-	m.keys, m.pools, m.byID = nil, nil, nil
-	m.ne.Reset()
-	m.freeKey.Reset()
-	m.top, m.heapStart = heap.Nil, heap.Nil
-	m.phase, m.frees = 0, 0
-	m.grossOf.Reset()
-	m.direct = make(map[heap.Addr]int64)
-	m.live.Reset()
-	m.ResetStats()
 }
 
 // FreeBlocks returns the total count of blocks across all free lists
@@ -623,17 +589,17 @@ func (m *Custom) FreeBlocks() int {
 // Chunk-carved heaps (no splitting) keep deliberately conservative
 // prevUsed bits at chunk boundaries, so only the tiling is checked there.
 func (m *Custom) CheckInvariants() error {
-	if !m.tagged || m.heapStart == heap.Nil || m.heapStart >= m.h.Brk() {
+	if !m.tagged || m.heapStart == heap.Nil || m.heapStart >= m.V.H.Brk() {
 		return nil
 	}
-	if !m.lay.Info.Has(block.InfoSize) {
+	if !m.V.L.Info.Has(block.InfoSize) {
 		return nil
 	}
 	if m.canSplit() {
-		_, err := m.v.CheckRegion(m.heapStart, m.h.Brk())
+		_, err := m.V.CheckRegion(m.heapStart, m.V.H.Brk())
 		return err
 	}
-	return m.v.Walk(m.heapStart, m.h.Brk(), func(block.BlockInfo) error { return nil })
+	return m.V.Walk(m.heapStart, m.V.H.Brk(), func(block.BlockInfo) error { return nil })
 }
 
 var _ mm.Manager = (*Custom)(nil)

@@ -544,17 +544,3 @@ func TestDirectThresholdUsesSegments(t *testing.T) {
 		t.Errorf("Footprint = %d after direct free, want 0", m.Footprint())
 	}
 }
-
-func TestResetRestoresCleanState(t *testing.T) {
-	m := mustNew(t, drrVector(), Params{})
-	if _, err := m.Alloc(mm.Request{Size: 100}); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-	if m.Footprint() != 0 || m.Stats().Allocs != 0 || m.FreeBlocks() != 0 {
-		t.Error("Reset left state behind")
-	}
-	if _, err := m.Alloc(mm.Request{Size: 100}); err != nil {
-		t.Errorf("Alloc after Reset: %v", err)
-	}
-}

@@ -295,8 +295,4 @@ func TestGlobalFootprintIsSumHighWater(t *testing.T) {
 	if g.MaxFootprint() > m0.MaxFootprint()+m1.MaxFootprint() {
 		t.Error("MaxFootprint exceeds the sum of atomic high-water marks")
 	}
-	g.Reset()
-	if g.Footprint() != 0 || g.MaxFootprint() != 0 {
-		t.Error("Reset did not clear global state")
-	}
 }

@@ -21,7 +21,7 @@ func (m *Custom) maySplit(have, want int64) bool {
 		return false
 	}
 	rem := have - want
-	min := m.lay.MinBlock()
+	min := m.V.L.MinBlock()
 	if rem < min {
 		return false
 	}
@@ -47,11 +47,11 @@ func (m *Custom) maySplit(have, want int64) bool {
 // split carves free block b (not in any list) into a want-byte prefix and
 // a free remainder, which is binned. Returns the prefix (== b).
 func (m *Custom) split(b heap.Addr, want int64) heap.Addr {
-	have := m.v.Size(b)
+	have := m.V.Size(b)
 	rem := b + heap.Addr(want)
-	m.v.SetHeader(b, want, false, m.prevUsedBit(b))
+	m.V.SetHeader(b, want, false, m.prevUsedBit(b))
 	m.writeNeighborInfo(b)
-	m.v.SetHeader(rem, have-want, false, true)
+	m.V.SetHeader(rem, have-want, false, true)
 	m.writeNeighborInfo(rem)
 	m.NoteSplit()
 	m.binFree(rem)
@@ -75,48 +75,48 @@ func (m *Custom) mayCoalesce(result int64) bool {
 // neighbours where policy permits, returning the merged block address and
 // size. The caller insert/returns the result.
 func (m *Custom) coalesce(b heap.Addr) (heap.Addr, int64) {
-	size := m.v.Size(b)
+	size := m.V.Size(b)
 	// Backward merge.
 	for {
 		prev, ok := m.prevNeighbor(b)
-		if !ok || m.v.Used(prev) || prev == m.top {
+		if !ok || m.V.Used(prev) || prev == m.top {
 			break
 		}
-		merged := m.v.Size(prev) + size
+		merged := m.V.Size(prev) + size
 		if !m.mayCoalesce(merged) {
 			break
 		}
 		m.unlinkKnownFree(prev)
 		b, size = prev, merged
-		m.v.SetHeader(b, size, false, m.prevUsedBit(b))
+		m.V.SetHeader(b, size, false, m.prevUsedBit(b))
 		m.NoteCoalesce()
 	}
 	// Forward merge.
 	for {
 		next := b + heap.Addr(size)
-		if next >= m.h.Brk() || next == m.top {
+		if next >= m.V.H.Brk() || next == m.top {
 			break
 		}
-		if m.v.Used(next) {
+		if m.V.Used(next) {
 			break
 		}
-		merged := size + m.v.Size(next)
+		merged := size + m.V.Size(next)
 		if !m.mayCoalesce(merged) {
 			break
 		}
 		m.unlinkKnownFree(next)
 		size = merged
-		m.v.SetHeader(b, size, false, m.prevUsedBit(b))
+		m.V.SetHeader(b, size, false, m.prevUsedBit(b))
 		m.NoteCoalesce()
 	}
 	// Merge into the wilderness when adjacent.
 	if m.top != heap.Nil && b+heap.Addr(size) == m.top {
-		size += m.v.Size(m.top)
+		size += m.V.Size(m.top)
 		m.setTop(b, size, m.prevUsedBit(b))
 		m.NoteCoalesce()
 		return b, -1 // absorbed by top: nothing to bin
 	}
-	m.v.SetHeader(b, size, false, m.prevUsedBit(b))
+	m.V.SetHeader(b, size, false, m.prevUsedBit(b))
 	m.writeNeighborInfo(b)
 	m.markNeighborOfFree(b, false)
 	m.Charge(mm.CostHeader)
@@ -132,15 +132,15 @@ func (m *Custom) prevNeighbor(b heap.Addr) (heap.Addr, bool) {
 	if b == m.heapStart || b == heap.Nil {
 		return heap.Nil, false
 	}
-	if m.hasStatus() && m.v.PrevUsed(b) {
+	if m.hasStatus() && m.V.PrevUsed(b) {
 		return heap.Nil, false
 	}
 	var ps int64
 	switch {
-	case m.lay.Tags == block.TagsBoth:
-		ps = m.v.PrevFooterSize(b)
+	case m.V.L.Tags == block.TagsBoth:
+		ps = m.V.PrevFooterSize(b)
 	case m.hasPrevSize():
-		ps = m.v.PrevSizeField(b)
+		ps = m.V.PrevSizeField(b)
 	default:
 		return heap.Nil, false
 	}
@@ -153,24 +153,21 @@ func (m *Custom) prevNeighbor(b heap.Addr) (heap.Addr, bool) {
 // prevUsedBit reads the prevUsed bit when the layout records status; it
 // defaults to true otherwise (preventing spurious merges).
 func (m *Custom) prevUsedBit(b heap.Addr) bool {
-	if !m.hasStatus() {
-		return true
-	}
-	return m.v.PrevUsed(b)
+	return !m.hasStatus() || m.V.PrevUsed(b)
 }
 
 // writeNeighborInfo maintains the backward-coalescing info for the block
 // after b: the footer of b (when free, footer layouts) and/or the
 // prev-size field of the next block (prev-size layouts).
 func (m *Custom) writeNeighborInfo(b heap.Addr) {
-	size := m.v.Size(b)
-	if m.lay.Tags == block.TagsBoth {
-		m.v.WriteFooter(b)
+	size := m.V.Size(b)
+	if m.V.L.Tags == block.TagsBoth {
+		m.V.WriteFooter(b)
 		m.Charge(mm.CostHeader)
 	}
 	next := b + heap.Addr(size)
-	if next < m.h.Brk() && m.hasPrevSize() {
-		m.v.SetPrevSize(next, size)
+	if next < m.V.H.Brk() && m.hasPrevSize() {
+		m.V.SetPrevSize(next, size)
 		m.Charge(mm.CostHeader)
 	}
 }
@@ -181,9 +178,9 @@ func (m *Custom) markNeighborOfFree(b heap.Addr, used bool) {
 	if !m.hasStatus() {
 		return
 	}
-	next := b + heap.Addr(m.v.Size(b))
-	if next < m.h.Brk() {
-		m.v.SetPrevUsed(next, used)
+	next := b + heap.Addr(m.V.Size(b))
+	if next < m.V.H.Brk() {
+		m.V.SetPrevUsed(next, used)
 		m.Charge(mm.CostHeader)
 	}
 }
@@ -199,9 +196,9 @@ func (m *Custom) binFree(b heap.Addr) {
 // its header (and footer, for boundary-tag layouts) consistent.
 func (m *Custom) setTop(b heap.Addr, size int64, prevUsed bool) {
 	m.top = b
-	m.v.SetHeader(b, size, false, prevUsed)
-	if m.lay.Tags == block.TagsBoth {
-		m.v.WriteFooter(b)
+	m.V.SetHeader(b, size, false, prevUsed)
+	if m.V.L.Tags == block.TagsBoth {
+		m.V.WriteFooter(b)
 	}
 	m.Charge(mm.CostHeader)
 }
@@ -209,10 +206,10 @@ func (m *Custom) setTop(b heap.Addr, size int64, prevUsed bool) {
 // carveTop satisfies gross bytes from the wilderness, extending the break
 // as needed. Only variable-range managers use a wilderness.
 func (m *Custom) carveTop(gross int64) (heap.Addr, error) {
-	min := m.lay.MinBlock()
+	min := m.V.L.MinBlock()
 	if m.topSize() < gross+min {
 		need := gross + min - m.topSize() + m.par.TopPad
-		start, err := m.h.Sbrk(need)
+		start, err := m.V.H.Sbrk(need)
 		if err != nil {
 			return heap.Nil, err
 		}
@@ -221,16 +218,16 @@ func (m *Custom) carveTop(gross int64) (heap.Addr, error) {
 			if m.heapStart == heap.Nil {
 				m.heapStart = start
 			}
-			m.setTop(start, int64(m.h.Brk()-start), true)
+			m.setTop(start, int64(m.V.H.Brk()-start), true)
 		} else {
-			m.setTop(m.top, int64(m.h.Brk()-m.top), m.prevUsedBit(m.top))
+			m.setTop(m.top, int64(m.V.H.Brk()-m.top), m.prevUsedBit(m.top))
 		}
 	}
 	b := m.top
 	prevUsed := m.prevUsedBit(m.top)
-	topSize := m.v.Size(m.top)
+	topSize := m.V.Size(m.top)
 	m.setTop(b+heap.Addr(gross), topSize-gross, true)
-	m.v.SetHeader(b, gross, false, prevUsed)
+	m.V.SetHeader(b, gross, false, prevUsed)
 	m.Charge(mm.CostHeader)
 	return b, nil
 }
@@ -239,7 +236,7 @@ func (m *Custom) topSize() int64 {
 	if m.top == heap.Nil {
 		return 0
 	}
-	return m.v.Size(m.top)
+	return m.V.Size(m.top)
 }
 
 // maybeTrim returns the tail of an oversized wilderness to the system —
@@ -249,16 +246,16 @@ func (m *Custom) maybeTrim() {
 	if m.top == heap.Nil {
 		return
 	}
-	size := m.v.Size(m.top)
+	size := m.V.Size(m.top)
 	if size < m.par.TrimThreshold {
 		return
 	}
-	keep := m.lay.MinBlock()
+	keep := m.V.L.MinBlock()
 	release := (size - keep) &^ (heap.Align - 1)
 	if release <= 0 {
 		return
 	}
-	if err := m.h.ShrinkBrk(release); err != nil {
+	if err := m.V.H.ShrinkBrk(release); err != nil {
 		return
 	}
 	m.Charge(mm.CostTrim)
@@ -268,7 +265,7 @@ func (m *Custom) maybeTrim() {
 // deferFree pushes b onto its pool's deferred list (used bit kept set so
 // neighbours skip it until consolidation).
 func (m *Custom) deferFree(b heap.Addr) {
-	gross := m.v.Size(b)
+	gross := m.V.Size(b)
 	pl := m.poolFor(m.keyFor(m.phaseOf(b), m.floorClass(gross)))
 	m.setNextFree(b, pl.deferred)
 	pl.deferred = b
@@ -285,7 +282,7 @@ func (m *Custom) consolidate() {
 		for b := pl.deferred; b != heap.Nil; {
 			next := m.nextFree(b)
 			m.Charge(mm.CostProbe)
-			m.v.SetUsed(b, false)
+			m.V.SetUsed(b, false)
 			if merged, size := m.coalesce(b); size >= 0 {
 				m.binFree(merged)
 			}

@@ -34,16 +34,16 @@ type FragReport struct {
 // current fragmentation state. Untagged managers (no in-band sizes)
 // return a report with only the heap and live counters filled.
 func (m *Custom) Fragmentation() FragReport {
-	r := FragReport{HeapBytes: m.h.Footprint()}
+	r := FragReport{HeapBytes: m.V.H.Footprint()}
 	s := m.Stats()
 	r.LiveBlocks = s.LiveBlocks
 	r.LivePayload = s.LiveBytes
 	r.LiveGross = s.GrossLive
-	if !m.tagged || m.heapStart == heap.Nil || m.heapStart >= m.h.Brk() {
+	if !m.tagged || m.heapStart == heap.Nil || m.heapStart >= m.V.H.Brk() {
 		return r
 	}
-	overheadPer := m.lay.Overhead()
-	_ = m.v.Walk(m.heapStart, m.h.Brk(), func(bi block.BlockInfo) error {
+	overheadPer := m.V.L.Overhead()
+	_ = m.V.Walk(m.heapStart, m.V.H.Brk(), func(bi block.BlockInfo) error {
 		if bi.Used {
 			r.Overhead += overheadPer
 			return nil

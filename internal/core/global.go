@@ -208,16 +208,4 @@ func (g *Global) Atomic(phase int) mm.Manager {
 // Phases returns the phases with dedicated atomic managers, ascending.
 func (g *Global) Phases() []int { return append([]int(nil), g.order...) }
 
-// Reset restores every atomic manager and the handle table.
-func (g *Global) Reset() {
-	for _, m := range g.mgrs {
-		if r, ok := m.(mm.Resetter); ok {
-			r.Reset()
-		}
-	}
-	g.slots, g.free = nil, nil
-	g.maxFootprint = 0
-	g.failed = 0
-}
-
 var _ mm.Manager = (*Global)(nil)

@@ -246,7 +246,7 @@ func TestUnlinkUnrecordedBlockPanics(t *testing.T) {
 	if err := m.Free(a); err != nil {
 		t.Fatal(err)
 	}
-	blk := m.v.Block(a)
+	blk := m.V.Block(a)
 	if _, ok := m.freeKey.Take(blk); !ok {
 		t.Fatal("freed block has no pool record")
 	}

@@ -100,7 +100,7 @@ func (m *Custom) insertFree(pl *pool, b heap.Addr) {
 	}
 	switch {
 	case m.vec.BlockStructure == dspace.SizeSorted:
-		m.insertSorted(pl, b, func(x heap.Addr) bool { return m.v.Size(x) >= m.v.Size(b) })
+		m.insertSorted(pl, b, func(x heap.Addr) bool { return m.V.Size(x) >= m.V.Size(b) })
 	case m.vec.FreeOrder == dspace.AddressOrder:
 		m.insertSorted(pl, b, func(x heap.Addr) bool { return x > b })
 	case m.vec.FreeOrder == dspace.FIFOOrder:
@@ -319,19 +319,19 @@ func (m *Custom) doubleLinks() bool {
 	return m.vec.BlockStructure != dspace.SinglyLinked
 }
 
-func (m *Custom) nextFree(b heap.Addr) heap.Addr { return m.v.NextFree(b) }
+func (m *Custom) nextFree(b heap.Addr) heap.Addr { return m.V.NextFree(b) }
 
-func (m *Custom) setNextFree(b, to heap.Addr) { m.v.SetNextFree(b, to) }
+func (m *Custom) setNextFree(b, to heap.Addr) { m.V.SetNextFree(b, to) }
 
 func (m *Custom) prevFree(b heap.Addr) heap.Addr {
 	if !m.doubleLinks() {
 		return heap.Nil
 	}
-	return m.v.PrevFree(b)
+	return m.V.PrevFree(b)
 }
 
 func (m *Custom) setPrevFree(b, to heap.Addr) {
 	if m.doubleLinks() {
-		m.v.SetPrevFree(b, to)
+		m.V.SetPrevFree(b, to)
 	}
 }

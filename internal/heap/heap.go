@@ -88,20 +88,6 @@ func New(cfg Config) *Heap {
 	return h
 }
 
-// Reset returns the heap to its freshly constructed state, releasing all
-// memory and clearing statistics.
-func (h *Heap) Reset() {
-	h.mem = nil
-	h.brk = base
-	h.span4 = 0
-	h.segs = nil
-	h.hot = nil
-	h.nextSeg = h.cfg.SegBase
-	h.segBytes = 0
-	h.maxFootprint = 0
-	h.nSbrk, h.nShrink, h.nMap, h.nUnmap = 0, 0, 0, 0
-}
-
 // setSpan recomputes the fast-path bound after a break move: a 4-byte
 // access at addr stays below the break iff uint32(addr-base) < span4.
 func (h *Heap) setSpan() {

@@ -189,23 +189,6 @@ func TestBrkCannotEnterSegmentArea(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	h := New(Config{})
-	if _, err := h.Sbrk(100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Map(100); err != nil {
-		t.Fatal(err)
-	}
-	h.Reset()
-	if h.Footprint() != 0 || h.MaxFootprint() != 0 {
-		t.Error("Reset did not clear footprint")
-	}
-	if s := h.SysStats(); s != (SysStats{}) {
-		t.Errorf("Reset did not clear stats: %+v", s)
-	}
-}
-
 func TestSysStatsCounts(t *testing.T) {
 	h := New(Config{})
 	_, _ = h.Sbrk(16)

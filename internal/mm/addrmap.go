@@ -171,9 +171,6 @@ func (a *AddrMap) Take(p heap.Addr) (v uint32, ok bool) {
 // Len returns the number of entries.
 func (a *AddrMap) Len() int { return a.n }
 
-// Reset empties the map and releases its pages, keeping its range.
-func (a *AddrMap) Reset() { *a = AddrMap{limit: a.limit} }
-
 // Clone returns an independent copy of the map.
 func (a *AddrMap) Clone() AddrMap {
 	return AddrMap{

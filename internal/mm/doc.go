@@ -8,6 +8,12 @@
 // paper's setting: malloc/free plus observability hooks for footprint and
 // execution-time estimation.
 //
+// Every manager over one heap embeds Base: the heap under the manager's
+// block layout, the Accounting counters and the live-payload Shadow,
+// with the Footprint, MaxFootprint, StateChecksum and deep-copy methods
+// that depend on nothing else. A manager adds only its policy state and
+// Alloc, Free, Name and CloneManager.
+//
 // # The work-unit cost model
 //
 // Work is the paper's Sec. 5 execution-time proxy: managers charge

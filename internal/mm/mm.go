@@ -47,10 +47,6 @@ type Manager interface {
 	Name() string
 }
 
-// Resetter is implemented by managers that can return to their initial
-// state without reconstruction.
-type Resetter interface{ Reset() }
-
 // Cloner is implemented by managers that can deep-copy their complete
 // state — simulated heap, in-band block structures, and out-of-band
 // bookkeeping — so replay can snapshot a manager at a trace boundary
@@ -127,9 +123,6 @@ type Accounting struct {
 
 // Stats returns the accumulated counters.
 func (a *Accounting) Stats() Stats { return a.stats }
-
-// ResetStats clears all counters.
-func (a *Accounting) ResetStats() { a.stats = Stats{} }
 
 // NoteAlloc records a successful allocation of req bytes occupying gross
 // block bytes.

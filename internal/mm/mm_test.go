@@ -54,16 +54,6 @@ func TestInternalFrag(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	var a Accounting
-	a.NoteAlloc(10, 16)
-	a.NoteFail()
-	a.ResetStats()
-	if s := a.Stats(); s != (Stats{}) {
-		t.Errorf("ResetStats left %+v", s)
-	}
-}
-
 func TestShadow(t *testing.T) {
 	var s Shadow
 	if s.Len() != 0 || s.Contains(8) {
@@ -80,10 +70,6 @@ func TestShadow(t *testing.T) {
 	}
 	if _, ok := s.Remove(8); ok {
 		t.Error("double Remove succeeded")
-	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Error("Reset left entries")
 	}
 }
 

@@ -81,21 +81,6 @@ func testShadowDifferential(t *testing.T, s Shadow) {
 	}
 }
 
-func TestShadowResetAndReuse(t *testing.T) {
-	var s Shadow
-	for i := 1; i <= 100; i++ {
-		s.Add(heap.Addr(i*8), int64(i))
-	}
-	s.Reset()
-	if s.Len() != 0 || s.Contains(8) {
-		t.Fatal("Reset did not clear the table")
-	}
-	s.Add(16, 7)
-	if req, ok := s.Remove(16); !ok || req != 7 {
-		t.Fatalf("Remove after Reset = (%d, %v), want (7, true)", req, ok)
-	}
-}
-
 // TestShadowAddOverwrite checks that re-adding a live address updates its
 // size without growing the table's logical count.
 func TestShadowAddOverwrite(t *testing.T) {

@@ -126,9 +126,6 @@ func (t *Table) Len() int {
 	return t.n
 }
 
-// Reset empties the table and releases its slots.
-func (t *Table) Reset() { *t = Table{} }
-
 // Clone returns an independent copy of the table.
 func (t *Table) Clone() Table {
 	c := *t
@@ -226,9 +223,6 @@ func (s *Shadow) Contains(p heap.Addr) bool {
 
 // Len returns the number of live blocks.
 func (s *Shadow) Len() int { return s.pages.Len() + s.over.Len() }
-
-// Reset clears the shadow table, keeping its range.
-func (s *Shadow) Reset() { *s = Shadow{pages: AddrMap{limit: s.pages.limit}} }
 
 // Clone returns an independent copy of the table.
 func (s *Shadow) Clone() Shadow {

@@ -55,12 +55,6 @@ func (c *Config) defaults() {
 // the buffer memory; the synthetic modes preserve it.
 var sizeModes = []int64{20, 40, 110, 240, 552, 1120}
 
-// PhaseCount returns the number of phases cfg will generate.
-func PhaseCount(cfg Config) int {
-	cfg.defaults()
-	return cfg.Phases
-}
-
 // Duration returns the total trace duration in milliseconds.
 func Duration(cfg Config) float64 {
 	cfg.defaults()

@@ -485,12 +485,6 @@ func (j *job) finishLocked(s State, res *Result, errMsg, checkpoint string, now 
 	j.appendLocked(Event{Type: "state", State: s, Error: errMsg, Checkpoint: checkpoint})
 }
 
-func (j *job) finish(s State, res *Result, errMsg, checkpoint string, now time.Time) {
-	j.mu.Lock()
-	j.finishLocked(s, res, errMsg, checkpoint, now)
-	j.mu.Unlock()
-}
-
 func (j *job) snapshot() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()

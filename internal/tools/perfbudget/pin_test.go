@@ -74,6 +74,15 @@ func TestFastPathPins(t *testing.T) {
 		}
 	}
 
+	// Manager base: every manager's footprint accessors. Global sums the
+	// atomic footprints after every Alloc and Free, and sampled replays
+	// read Footprint per event, so sharing them must not add a call.
+	for _, fn := range []string{"(*Base).Footprint", "(*Base).MaxFootprint"} {
+		if f := facts(t, inv, "dmmkit/internal/mm", fn); !f.Inline {
+			t.Errorf("mm.%s no longer inlines: %s", fn, f.InlineReason)
+		}
+	}
+
 	// Kingsley: the size-class lookup and free-list head update.
 	for _, fn := range []string{"classFor", "(*Manager).setFreeHead"} {
 		if f := facts(t, inv, "dmmkit/internal/alloc/kingsley", fn); !f.Inline {

@@ -212,8 +212,8 @@ func (r *Replayer) Result() Result {
 }
 
 // Run replays a trace against a manager, returning footprint statistics.
-// The manager is used as-is (callers Reset or construct fresh managers for
-// independent runs). Cancelling ctx stops the replay between batches and
+// The manager is used as-is: construct a fresh manager, or clone one
+// through mm.Cloner, for each independent run. Cancelling ctx stops the replay between batches and
 // returns the context's error; a nil ctx is treated as context.Background.
 //
 // Run is the in-memory form of RunSource: the two produce identical
