@@ -15,7 +15,7 @@ import (
 	"dmmkit/internal/dspace"
 )
 
-var updateSearchGolden = flag.Bool("update", false, "rewrite testdata/golden_search.json and the mid-run snapshots from current behavior")
+var updateSearchGolden = flag.Bool("update", false, "rewrite the search goldens (testdata/golden_search.json with the mid-run snapshots, testdata/golden_space.json) from current behavior")
 
 // goldenFitness is the deterministic evaluator the search golden drives
 // the genetic strategies with: an FNV-1a hash of the genome spread over
