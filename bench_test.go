@@ -16,9 +16,11 @@ import (
 	"testing"
 
 	"dmmkit"
+	"dmmkit/internal/dspace"
 	"dmmkit/internal/experiments"
 	"dmmkit/internal/mm"
 	"dmmkit/internal/profile"
+	"dmmkit/internal/search"
 	"dmmkit/internal/trace"
 )
 
@@ -199,13 +201,40 @@ func BenchmarkDesignerWalk(b *testing.B) {
 	}
 }
 
-// Design-space enumeration with constraint pruning (~144k vectors).
+// Design-space enumeration (144,480 vectors), read from the index built
+// on first use.
 func BenchmarkEnumerateDesignSpace(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := dmmkit.EnumerateVectors(func(dmmkit.Vector) bool { return true })
 		if n == 0 {
 			b.Fatal("no vectors")
 		}
+	}
+}
+
+// Design-space sampling as every search starts it: a 12-vector stride
+// sample of the whole space and of a pinned subspace, and the size of
+// the pinned subspace, all over the warm index.
+func BenchmarkSample(b *testing.B) {
+	fix := search.Fixed{dspace.B1PoolDivision: dspace.PoolPerClass, dspace.C2FreeOrder: dspace.AddressOrder}
+	search.Size(nil) // build the index outside the timed loop
+	for _, bc := range []struct {
+		name string
+		run  func() int
+	}{
+		{"unpinned", func() int { return len(search.Sample(12, nil)) }},
+		{"pinned", func() int { return len(search.Sample(12, fix)) }},
+		{"size-pinned", func() int { return search.Size(fix) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if bc.run() == 0 {
+					b.Fatal("empty sample")
+				}
+			}
+		})
 	}
 }
 

@@ -297,8 +297,8 @@ func ExploreSource(ctx context.Context, t TraceOpener, opts ExploreOpts) ([]Cand
 	return core.NewEngine(0).ExploreSource(ctx, t, opts)
 }
 
-// SpaceSize returns the number of valid decision vectors (~144k), cached
-// after the first enumeration.
+// SpaceSize returns the number of valid decision vectors (144,480), read
+// from the design-space index built on first use.
 func SpaceSize() int { return core.SpaceSize() }
 
 // Registry types. The registry is the toolkit's extension point: managers

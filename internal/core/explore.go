@@ -207,8 +207,8 @@ type ExploreOpts struct {
 	AfterGeneration func(cands []Candidate) error
 }
 
-// SpaceSize returns the number of valid decision vectors (~144k), cached
-// after the first enumeration.
+// SpaceSize returns the number of valid decision vectors (144,480), read
+// from the design-space index built on first use.
 func SpaceSize() int { return dspace.SpaceSize() }
 
 // Explore evaluates a uniform sample of the valid design space against a

@@ -327,41 +327,6 @@ func refsDecided(r Rule, d Decided) bool {
 	return true
 }
 
-// Enumerate walks the valid region of the design space in the paper's
-// traversal order with constraint pruning, calling fn for each fully
-// decided valid vector. fn returns false to stop early. Enumerate returns
-// the number of valid vectors visited.
-func Enumerate(fn func(Vector) bool) int {
-	var v Vector
-	var d Decided
-	n := 0
-	stopped := false
-	var rec func(i int)
-	rec = func(i int) {
-		if stopped {
-			return
-		}
-		if i == len(Order) {
-			if Validate(&v) == nil {
-				n++
-				if !fn(v) {
-					stopped = true
-				}
-			}
-			return
-		}
-		t := Order[i]
-		for _, l := range Allowed(t, v, d) {
-			v.Set(t, l)
-			d[t] = true
-			rec(i + 1)
-			d[t] = false
-		}
-	}
-	rec(0)
-	return n
-}
-
 // DescribeWalk renders a decision walk (tree order with chosen leaf names),
 // used by the explorer CLI to show how a manager was derived.
 func DescribeWalk(v Vector) string {

@@ -5,9 +5,9 @@
 //
 // Any combination of one leaf per tree is a candidate DM manager; the
 // constraint rules reject incoherent combinations exactly as the paper's
-// full-arrow interdependencies do. The package also enumerates the valid
-// region of the space for exhaustive exploration (~144k vectors, cached
-// by SpaceSize).
+// full-arrow interdependencies do. The package also indexes the valid
+// region of the space, 144,480 vectors, for exhaustive exploration and
+// for every search's first generation (see "The index" below).
 //
 // # The categories (paper Fig. 1)
 //
@@ -45,8 +45,21 @@
 // in A3 prohibits recording information in A4; scheduling coalescing in
 // D2 requires status bits in A4 and a mechanism in A5; ...). Allowed
 // propagates those constraints during an ordered traversal, Validate
-// checks a complete vector, and Enumerate walks the whole valid region in
+// checks a complete vector, and Enumerate visits the whole valid region in
 // the paper's published order (Order) with pruning.
+//
+// # The index
+//
+// The valid region does not depend on any trace, so it is walked once per
+// process, on first use, and kept as a table of Codes: each vector packed
+// 3 bits per tree into a uint64, in traversal order. Enumerate, SpaceSize
+// and Codes read the table; the search package counts and stride-samples
+// pinned subspaces over it with one mask compare per code (Pin). The walk
+// checks each rule once, at the position in Order where the last tree it
+// references is decided, and validates every vector it stores. It takes
+// about 35 ms on a 2-core x86-64 container (go1.24) and leaves 1,163,264
+// bytes (1.1 MiB) resident; reading the whole table through Enumerate
+// takes about 4 ms and allocates nothing.
 //
 // Figure 1 of the paper (the tree diagram) is not machine-readable in the
 // available text; leaf sets are reconstructed from the prose, the Sec. 5

@@ -2,8 +2,10 @@ package dspace
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // leaFamilyVector is a Lea-like point in the space: variable sizes, full
@@ -315,4 +317,68 @@ func TestExplainListsAllViolations(t *testing.T) {
 	if len(msgs) < 2 {
 		t.Errorf("Explain found %d violations, want >=2: %v", len(msgs), msgs)
 	}
+}
+
+// TestPinSelectsLeaf checks the code layout through Pin: every valid code
+// holds each of its vector's leaves, and no other leaf of that tree; a
+// pin on a tree outside [0, NumTrees) matches every code and a pin on a
+// leaf the tree does not have matches none.
+func TestPinSelectsLeaf(t *testing.T) {
+	for _, c := range Codes() {
+		v := c.Vector()
+		for i := 0; i < NumTrees; i++ {
+			tree := Tree(i)
+			for l := 0; l < LeafCount(tree); l++ {
+				mask, want := Pin(tree, Leaf(l))
+				if got := c&mask == want; got != (v.Get(tree) == Leaf(l)) {
+					t.Fatalf("code %#x (%v): Pin(%v, %d) matches = %v", c, v, tree, l, got)
+				}
+			}
+		}
+	}
+	c := Codes()[0]
+	for _, tree := range []Tree{-1, Tree(NumTrees), 99} {
+		if mask, want := Pin(tree, 1); c&mask != want {
+			t.Errorf("Pin(%v, 1) excludes a code; a tree that does not exist must be ignored", tree)
+		}
+	}
+	for _, l := range []Leaf{2, 8, 255} {
+		mask, want := Pin(B1PoolDivision, l)
+		for _, c := range Codes() {
+			if c&mask == want {
+				t.Fatalf("Pin(B1, %d) matches code %#x; B1 has no such leaf", l, c)
+			}
+		}
+	}
+}
+
+// TestIndexAllocations pins the index's allocation behaviour: reading
+// the built index allocates nothing, and building it allocates a fixed
+// handful of times, not once per node or per vector.
+func TestIndexAllocations(t *testing.T) {
+	if n := testing.AllocsPerRun(5, func() { SpaceSize() }); n != 0 {
+		t.Errorf("SpaceSize allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { Enumerate(func(Vector) bool { return true }) }); n != 0 {
+		t.Errorf("Enumerate over the built index allocates %.0f times, want 0", n)
+	}
+	// The rule table, the append growth of the code slice and its final
+	// exact-size copy: a few dozen allocations for 144k vectors.
+	if n := testing.AllocsPerRun(2, func() { buildCodes() }); n > 64 {
+		t.Errorf("building the index allocates %.0f times, want a constant <= 64", n)
+	}
+	if got, want := buildCodes(), Codes(); !slices.Equal(got, want) {
+		t.Error("a second build differs from the shared index")
+	}
+}
+
+// BenchmarkBuildCodes times the cold build of the design-space index
+// and reports the bytes the built index keeps resident.
+func BenchmarkBuildCodes(b *testing.B) {
+	b.ReportAllocs()
+	var c []Code
+	for b.Loop() {
+		c = buildCodes()
+	}
+	b.ReportMetric(float64(cap(c))*float64(unsafe.Sizeof(Code(0))), "resident-bytes")
 }

@@ -65,65 +65,61 @@ func (f Fixed) Matches(v dspace.Vector) bool {
 	return true
 }
 
-// Size returns the number of valid vectors in the pinned subspace. With no
-// pins it is the cached dspace.SpaceSize; otherwise it walks the valid
-// space counting matches.
-func Size(fix Fixed) int {
-	if len(fix) == 0 {
-		return dspace.SpaceSize()
+// pattern packs the pins into one pair over dspace codes: a valid vector
+// lies in the pinned subspace exactly when its code c has c&mask == want,
+// which is what Matches decides for the vector itself. As in Matches, a
+// pin on a tree outside [0, NumTrees) is ignored, and a pin on a leaf its
+// tree does not have leaves the subspace empty.
+func (f Fixed) pattern() (mask, want dspace.Code) {
+	for t, l := range f {
+		m, w := dspace.Pin(t, l)
+		mask |= m
+		want |= w
 	}
+	return mask, want
+}
+
+// Size returns the number of valid vectors in the pinned subspace,
+// counted over the design-space index (dspace.Codes).
+func Size(fix Fixed) int {
+	mask, want := fix.pattern()
 	n := 0
-	dspace.Enumerate(func(v dspace.Vector) bool {
-		if fix.Matches(v) {
+	for _, c := range dspace.Codes() {
+		if c&mask == want {
 			n++
 		}
-		return true
-	})
+	}
 	return n
 }
 
 // Sample returns a uniform ceiling-stride sample of at most max valid
-// vectors from the pinned subspace, in enumeration order. The ceiling
+// vectors from the pinned subspace, in enumeration order: every stride-th
+// match in the design-space index, starting with the first. The ceiling
 // stride guarantees at most max samples: stride*max >= total, so
 // ceil(total/stride) <= max.
 func Sample(max int, fix Fixed) []dspace.Vector {
 	if max <= 0 {
 		return nil
 	}
-	if len(fix) > 0 {
-		// The subspace size isn't cached, so collect the matches in one
-		// enumeration pass and stride over the slice.
-		var matched []dspace.Vector
-		dspace.Enumerate(func(v dspace.Vector) bool {
-			if fix.Matches(v) {
-				matched = append(matched, v)
-			}
-			return true
-		})
-		total := len(matched)
-		if total == 0 {
-			return nil
-		}
-		stride := (total + max - 1) / max
-		vectors := make([]dspace.Vector, 0, (total+stride-1)/stride)
-		for i := 0; i < total; i += stride {
-			vectors = append(vectors, matched[i])
-		}
-		return vectors
+	total := Size(fix)
+	if total == 0 {
+		return nil
 	}
-	total := dspace.SpaceSize()
-	stride := (total + max - 1) / max
-	if stride < 1 {
-		stride = 1
-	}
-	vectors := make([]dspace.Vector, 0, (total+stride-1)/stride)
-	i := 0
-	dspace.Enumerate(func(v dspace.Vector) bool {
-		if i%stride == 0 {
-			vectors = append(vectors, v)
+	// ceil(total/max), written so that a max near math.MaxInt cannot
+	// overflow it.
+	stride := 1 + (total-1)/max
+	vectors := make([]dspace.Vector, 0, 1+(total-1)/stride)
+	mask, want := fix.pattern()
+	i, next := 0, 0
+	for _, c := range dspace.Codes() {
+		if c&mask != want {
+			continue
+		}
+		if i == next {
+			vectors = append(vectors, c.Vector())
+			next += stride
 		}
 		i++
-		return true
-	})
+	}
 	return vectors
 }
