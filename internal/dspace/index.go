@@ -1,23 +1,44 @@
 package dspace
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 )
 
-// Code is a Vector packed into an integer: the leaf of tree t occupies the
-// leafBits bits starting at bit leafBits*t, so the fifteen trees use the
-// low 45 bits. Masking a code selects trees without unpacking it, which is
-// how pinned subspaces are counted and sampled (see Pin).
-type Code uint64
+// Code is a Vector packed into an integer: each tree's leaf sits in a bit
+// field just wide enough for the tree's leaves, tree A1 lowest, which
+// takes 28 bits for the fifteen trees. Masking a code selects trees
+// without unpacking it, which is how pinned subspaces are counted and
+// sampled (see Pin). Four bytes per vector keep the index at half the
+// size of a 3-bits-per-tree uint64: every byte it holds stays live for
+// the life of the process, and the garbage collector lets the heap grow
+// to about twice the live bytes.
+type Code uint32
 
-const (
-	leafBits = 3 // the largest tree, C1, has five leaves
-	leafMask = 1<<leafBits - 1
-	// noCode is a bit no code sets: a (mask, want) pair holding it in
-	// both halves matches nothing.
-	noCode Code = 1 << 63
-)
+// field is one tree's bit field in a Code.
+type field struct {
+	shift uint
+	mask  Code // the field's bits, in place
+}
+
+// fields lays the trees out in a Code in tree order.
+var fields = func() (f [NumTrees]field) {
+	shift := uint(0)
+	for t := range f {
+		w := uint(bits.Len(uint(LeafCount(Tree(t)) - 1)))
+		f[t] = field{shift, (1<<w - 1) << shift}
+		shift += w
+	}
+	if shift > 31 { // bit 31 is noCode's
+		panic("dspace: the trees' leaves do not fit in a Code")
+	}
+	return f
+}()
+
+// noCode is a bit no code sets: a (mask, want) pair holding it in both
+// halves matches nothing.
+const noCode Code = 1 << 31
 
 // Pin returns the pair that selects leaf l of tree t: a code c holds that
 // leaf exactly when c&mask == want. Pairs combine by OR-ing their masks
@@ -30,13 +51,16 @@ func Pin(t Tree, l Leaf) (mask, want Code) {
 	case int(l) >= LeafCount(t):
 		return noCode, noCode
 	}
-	shift := leafBits * uint(t)
-	return leafMask << shift, Code(l) << shift
+	f := fields[t]
+	return f.mask, Code(l) << f.shift
 }
 
 // Vector unpacks the code.
 func (c Code) Vector() Vector {
-	leaf := func(t Tree) Leaf { return Leaf(c >> (leafBits * uint(t)) & leafMask) }
+	leaf := func(t Tree) Leaf {
+		f := fields[t]
+		return Leaf(c & f.mask >> f.shift)
+	}
 	return Vector{
 		BlockStructure: leaf(A1BlockStructure),
 		BlockSizes:     leaf(A2BlockSizes),
@@ -124,7 +148,7 @@ func (b *codeBuilder) walk(i int, c Code) {
 	for l := Leaf(0); int(l) < LeafCount(t); l++ {
 		b.v.Set(t, l)
 		if b.allowed(i) {
-			b.walk(i+1, c|Code(l)<<(leafBits*uint(t)))
+			b.walk(i+1, c|Code(l)<<fields[t].shift)
 		}
 	}
 }
