@@ -48,21 +48,21 @@
 // checks a complete vector, and Enumerate visits the whole valid region in
 // the paper's published order (Order) with pruning.
 //
-// # The index
-//
-// The valid region does not depend on any trace, so it is walked once per
-// process, on first use, and kept as a table of Codes: each vector packed
-// 3 bits per tree into a uint64, in traversal order. Enumerate, SpaceSize
-// and Codes read the table; the search package counts and stride-samples
-// pinned subspaces over it with one mask compare per code (Pin). The walk
-// checks each rule once, at the position in Order where the last tree it
-// references is decided, and validates every vector it stores. It takes
-// about 35 ms on a 2-core x86-64 container (go1.24) and leaves 1,163,264
-// bytes (1.1 MiB) resident; reading the whole table through Enumerate
-// takes about 4 ms and allocates nothing.
-//
 // Figure 1 of the paper (the tree diagram) is not machine-readable in the
 // available text; leaf sets are reconstructed from the prose, the Sec. 5
 // walkthrough, and Wilson et al.'s survey the paper builds on. See
 // DESIGN.md §4 for the mapping.
+//
+// # The index
+//
+// The valid region does not depend on any trace, so it is walked once per
+// process, on first use, and kept as a table of Codes: each vector packed
+// into 28 bits of a uint32, in traversal order. Enumerate, SpaceSize and
+// Codes read the table; the search package counts and stride-samples
+// pinned subspaces over it with one mask compare per code (Pin). The walk
+// checks each rule once, at the position in Order where the last tree it
+// references is decided, and validates every vector it stores. It takes
+// about 26 ms on a 2-core x86-64 container (go1.24) and leaves 581,632
+// bytes (568 KiB) resident; reading the whole table through Enumerate
+// takes about 4 ms and allocates nothing.
 package dspace

@@ -10,10 +10,10 @@ import (
 // field just wide enough for the tree's leaves, tree A1 lowest, which
 // takes 28 bits for the fifteen trees. Masking a code selects trees
 // without unpacking it, which is how pinned subspaces are counted and
-// sampled (see Pin). Four bytes per vector keep the index at half the
-// size of a 3-bits-per-tree uint64: every byte it holds stays live for
-// the life of the process, and the garbage collector lets the heap grow
-// to about twice the live bytes.
+// sampled (see Pin). The code is kept to four bytes because the index
+// stays live for the life of the process, and the garbage collector lets
+// the heap grow to about twice the live bytes: each byte of the index
+// costs about two of resident memory.
 type Code uint32
 
 // field is one tree's bit field in a Code.

@@ -65,8 +65,8 @@
 // pair over the packed codes, so the whole space and a pinned subspace
 // take the same path: count the matching codes, then take every
 // stride-th match. Once the index is built, a 12-vector sample takes
-// about 0.4 ms and allocates only its result; the first call in a
-// process pays the build (about 35 ms).
+// about 0.3 ms and allocates only its result; the first call in a
+// process pays the build (about 30 ms).
 //
 // Determinism contract: a Strategy owns all of its randomness, and the
 // engine serializes Next/Observe around parallel evaluation barriers.

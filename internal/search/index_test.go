@@ -81,7 +81,7 @@ const coldIndexEnv = "DMMKIT_SEARCH_COLD_INDEX"
 func TestIndexConcurrentFirstUse(t *testing.T) {
 	want := readSpaceGolden(t)
 	if os.Getenv(coldIndexEnv) == "" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestIndexConcurrentFirstUse$", "-test.count=1")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestIndexConcurrentFirstUse$", "-test.count=1", "-test.timeout=5m")
 		cmd.Env = append(os.Environ(), coldIndexEnv+"=1")
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("check in a fresh process: %v\n%s", err, out)

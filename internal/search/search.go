@@ -110,16 +110,16 @@ func Sample(max int, fix Fixed) []dspace.Vector {
 	stride := 1 + (total-1)/max
 	vectors := make([]dspace.Vector, 0, 1+(total-1)/stride)
 	mask, want := fix.pattern()
-	i, next := 0, 0
+	skip := 0
 	for _, c := range dspace.Codes() {
 		if c&mask != want {
 			continue
 		}
-		if i == next {
+		if skip == 0 {
 			vectors = append(vectors, c.Vector())
-			next += stride
+			skip = stride
 		}
-		i++
+		skip--
 	}
 	return vectors
 }
