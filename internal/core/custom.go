@@ -584,11 +584,19 @@ func (m *Custom) FreeBlocks() int {
 	return n
 }
 
-// CheckInvariants validates the in-band structure of tagged managers: the
-// sbrk region tiles into valid blocks and boundary info is consistent.
-// Chunk-carved heaps (no splitting) keep deliberately conservative
-// prevUsed bits at chunk boundaries, so only the tiling is checked there.
+// CheckInvariants validates the manager's free lists and the in-band
+// structure of tagged managers. Every pool's in-band list must hold
+// exactly its count of blocks, each recorded in the free-block table as
+// that pool's, with consistent back links, tail and rover, and in order
+// when the pool is sorted; every deferred list must hold its count. For
+// tagged managers the sbrk region must then tile into valid blocks with
+// consistent boundary info. Chunk-carved heaps (no splitting) keep
+// deliberately conservative prevUsed bits at chunk boundaries, so only
+// the tiling is checked there.
 func (m *Custom) CheckInvariants() error {
+	if err := m.checkFreeLists(); err != nil {
+		return err
+	}
 	if !m.tagged || m.heapStart == heap.Nil || m.heapStart >= m.V.H.Brk() {
 		return nil
 	}
@@ -600,6 +608,82 @@ func (m *Custom) CheckInvariants() error {
 		return err
 	}
 	return m.V.Walk(m.heapStart, m.V.H.Brk(), func(block.BlockInfo) error { return nil })
+}
+
+// checkFreeLists walks every pool's free list and deferred list, bounded
+// by the pool's counts so a cycle cannot hang it.
+func (m *Custom) checkFreeLists() error {
+	for _, pl := range m.pools {
+		fail := func(b heap.Addr, format string, args ...any) error {
+			return m.poolError(pl, b, fmt.Sprintf(format, args...))
+		}
+		n := 0
+		var prev heap.Addr
+		roverListed := pl.rover == heap.Nil
+		for b := pl.head; b != heap.Nil; prev, b = b, m.nextFree(b) {
+			if n == pl.count {
+				return fail(b, "the list runs past the pool's count of %d", pl.count)
+			}
+			n++
+			if id, ok := m.freeKey.Get(b); !ok || int(id) != pl.id+1 {
+				return fail(b, "is listed but the free-block table names pool id+1 %d", id)
+			}
+			if m.doubleLinks() && m.prevFree(b) != prev {
+				return fail(b, "back link %#x, want %#x", m.prevFree(b), prev)
+			}
+			if prev != heap.Nil && !m.inOrder(prev, b) {
+				return fail(b, "is out of order after %#x", prev)
+			}
+			if b == pl.rover {
+				roverListed = true
+				if pl.roverPrev != prev {
+					return fail(b, "is the rover, recorded after %#x, listed after %#x", pl.roverPrev, prev)
+				}
+			}
+		}
+		if n != pl.count {
+			return fail(pl.head, "the list holds %d of the pool's %d blocks", n, pl.count)
+		}
+		if pl.tail != prev {
+			return fail(pl.tail, "is the recorded tail, the list ends at %#x", prev)
+		}
+		if !roverListed {
+			return fail(pl.rover, "is the rover but not on the list")
+		}
+		if (pl.head != heap.Nil) != m.ne.Test(pl.idx) {
+			return fail(pl.head, "the nonempty bit disagrees with the list")
+		}
+		n = 0
+		for b := pl.deferred; b != heap.Nil; b = m.nextFree(b) {
+			if n == pl.nDeferred {
+				return fail(b, "the deferred list runs past its count of %d", pl.nDeferred)
+			}
+			n++
+		}
+		if n != pl.nDeferred {
+			return fail(pl.deferred, "the deferred list holds %d of its %d blocks", n, pl.nDeferred)
+		}
+	}
+	return nil
+}
+
+// poolError reports an inconsistency found at block b of pool pl.
+func (m *Custom) poolError(pl *pool, b heap.Addr, problem string) error {
+	k := m.keys[pl.idx]
+	return fmt.Errorf("core: %s: pool (phase %d, class %d), block %#x: %s", m.name, k.phase, k.class, b, problem)
+}
+
+// inOrder reports whether free block b may follow a on a list: sorted
+// pools keep non-decreasing sizes (A1 = size-sorted) or ascending
+// addresses (C2 = address order); other lists have no order.
+func (m *Custom) inOrder(a, b heap.Addr) bool {
+	switch {
+	case m.vec.BlockStructure == dspace.SizeSorted:
+		return m.V.Size(a) <= m.V.Size(b)
+	case m.vec.FreeOrder == dspace.AddressOrder:
+		return a < b
+	}
+	return true
 }
 
 var _ mm.Manager = (*Custom)(nil)

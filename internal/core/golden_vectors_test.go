@@ -207,3 +207,30 @@ func TestGoldenVectorsSurviveClone(t *testing.T) {
 		}
 	}
 }
+
+// TestFreeListsConsistent replays the quick DRR trace against every
+// vector of the golden sample and then runs CheckInvariants: every
+// pool's in-band free list must hold exactly its count, in order when
+// the pool is sorted, with every block recorded as that pool's. A fit
+// that unlinks with the wrong predecessor drops blocks off a singly
+// linked list while the count still holds them.
+func TestFreeListsConsistent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays ~200 vectors")
+	}
+	tr := goldenVectorsTrace(t)
+	vecs := search.Sample(goldenVectorSample, nil)
+	errs := make([]error, len(vecs))
+	forEachVector(t, tr, vecs, func(i int, m *Custom) {
+		if _, err := trace.Run(context.Background(), m, tr, trace.RunOpts{}); err != nil {
+			errs[i] = err
+			return
+		}
+		errs[i] = m.CheckInvariants()
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("vector %d %v: %v", i, vecs[i], err)
+		}
+	}
+}

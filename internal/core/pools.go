@@ -19,6 +19,8 @@ type poolKey struct {
 // pool is one memory pool: an in-band free list plus the roving pointer
 // for next fit and the deferred-coalescing list (blocks freed but not yet
 // merged, still carrying their used bit, as dlmalloc's fastbins do).
+// roverPrev is the rover's predecessor on the list (K&R's freep), which a
+// singly linked list needs to unlink a hit on the rover itself.
 // idx is the pool's position in the sorted key slice (and in the pools
 // slice and nonempty bitset that run parallel to it); id is its stable
 // creation index, which the free-block side table records.
@@ -26,6 +28,7 @@ type pool struct {
 	head, tail heap.Addr
 	count      int
 	rover      heap.Addr
+	roverPrev  heap.Addr
 	deferred   heap.Addr
 	nDeferred  int
 	idx        int
@@ -93,9 +96,7 @@ func (m *Custom) insertFree(pl *pool, b heap.Addr) {
 	m.ne.Set(pl.idx)
 	m.Charge(mm.CostLink)
 	if pl.head == heap.Nil {
-		pl.head, pl.tail = b, b
-		m.setNextFree(b, heap.Nil)
-		m.setPrevFree(b, heap.Nil)
+		m.linkBetween(pl, b, heap.Nil, heap.Nil)
 		return
 	}
 	switch {
@@ -104,16 +105,9 @@ func (m *Custom) insertFree(pl *pool, b heap.Addr) {
 	case m.vec.FreeOrder == dspace.AddressOrder:
 		m.insertSorted(pl, b, func(x heap.Addr) bool { return x > b })
 	case m.vec.FreeOrder == dspace.FIFOOrder:
-		// Append at tail.
-		m.setNextFree(pl.tail, b)
-		m.setPrevFree(b, pl.tail)
-		m.setNextFree(b, heap.Nil)
-		pl.tail = b
+		m.linkBetween(pl, b, pl.tail, heap.Nil)
 	default: // LIFO
-		m.setNextFree(b, pl.head)
-		m.setPrevFree(b, heap.Nil)
-		m.setPrevFree(pl.head, b)
-		pl.head = b
+		m.linkBetween(pl, b, heap.Nil, pl.head)
 	}
 }
 
@@ -126,10 +120,19 @@ func (m *Custom) insertSorted(pl *pool, b heap.Addr, stop func(heap.Addr) bool) 
 		m.Charge(mm.CostProbe)
 		prev, cur = cur, m.nextFree(cur)
 	}
-	m.setNextFree(b, cur)
+	m.linkBetween(pl, b, prev, cur)
+}
+
+// linkBetween links free block b into pl between its list neighbours
+// prev and next (Nil at either end of the list).
+func (m *Custom) linkBetween(pl *pool, b, prev, next heap.Addr) {
+	m.setNextFree(b, next)
 	m.setPrevFree(b, prev)
-	if cur != heap.Nil {
-		m.setPrevFree(cur, b)
+	if next != heap.Nil {
+		m.setPrevFree(next, b)
+		if next == pl.rover {
+			pl.roverPrev = b
+		}
 	} else {
 		pl.tail = b
 	}
@@ -148,12 +151,18 @@ func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 	pl.count--
 	m.freeKey.Take(b)
 	m.Charge(mm.CostUnlink)
-	if pl.rover == b {
-		pl.rover = m.nextFree(b)
+	if m.doubleLinks() {
+		sprev = m.prevFree(b)
+	}
+	switch b {
+	case pl.rover:
+		pl.rover = m.nextFree(b) // its predecessor stays roverPrev
+	case pl.roverPrev:
+		pl.roverPrev = sprev
 	}
 	if m.doubleLinks() {
 		next := m.nextFree(b)
-		prev := m.prevFree(b)
+		prev := sprev
 		if prev == heap.Nil {
 			pl.head = next
 		} else {
@@ -216,19 +225,19 @@ func (m *Custom) searchPool(pl *pool, gross int64) searchResult {
 	}
 	switch m.vec.Fit {
 	case dspace.FirstFit:
-		return m.scanFirst(pl.head, gross)
+		return m.scanFirst(pl.head, heap.Nil, gross)
 	case dspace.NextFit:
-		start := pl.rover
+		// After the hit is unlinked, the rover's predecessor is the hit's.
+		start, prev := pl.rover, pl.roverPrev
 		if start == heap.Nil {
-			start = pl.head
+			start, prev = pl.head, heap.Nil
 		}
-		if r := m.scanFirst(start, gross); r.ok {
-			pl.rover = m.nextFree(r.b)
-			return r
+		r := m.scanFirst(start, prev, gross)
+		if !r.ok {
+			r = m.scanFirst(pl.head, heap.Nil, gross) // wrap around
 		}
-		r := m.scanFirst(pl.head, gross) // wrap around
 		if r.ok {
-			pl.rover = m.nextFree(r.b)
+			pl.rover, pl.roverPrev = m.nextFree(r.b), r.sprev
 		}
 		return r
 	case dspace.BestFit, dspace.ExactFit:
@@ -242,9 +251,9 @@ func (m *Custom) searchPool(pl *pool, gross int64) searchResult {
 	return searchResult{}
 }
 
-// scanFirst returns the first fitting block within the probe budget.
-func (m *Custom) scanFirst(from heap.Addr, gross int64) searchResult {
-	var prev heap.Addr
+// scanFirst returns the first fitting block within the probe budget,
+// scanning from block from, whose list predecessor is prev.
+func (m *Custom) scanFirst(from, prev heap.Addr, gross int64) searchResult {
 	probes := 0
 	for b := from; b != heap.Nil && probes < m.par.MaxProbes; b = m.nextFree(b) {
 		m.Charge(mm.CostProbe)
