@@ -9,8 +9,9 @@ import (
 	"dmmkit/internal/mm"
 )
 
-// CloneManager implements mm.Cloner. Pools, keys, the nonempty bitset
-// and the out-of-band size/pool tables are deep-copied with the base;
+// CloneManager implements mm.Cloner. Pools with their sorted-list
+// indexes, keys, the nonempty bitset and the out-of-band size/pool tables
+// are deep-copied with the base;
 // the design vector and parameters are read-only after construction and
 // shared.
 func (m *Custom) CloneManager() (mm.Manager, error) {
@@ -20,6 +21,8 @@ func (m *Custom) CloneManager() (mm.Manager, error) {
 	n.pools = make([]*pool, len(m.pools))
 	for id, p := range m.byID {
 		cp := *p
+		cp.runs = slices.Clone(p.runs)
+		cp.addrs = slices.Clone(p.addrs)
 		n.byID[id] = &cp
 		n.pools[cp.idx] = &cp
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"dmmkit/internal/bitset"
@@ -588,7 +589,8 @@ func (m *Custom) FreeBlocks() int {
 // structure of tagged managers. Every pool's in-band list must hold
 // exactly its count of blocks, each recorded in the free-block table as
 // that pool's, with consistent back links, tail and rover, and in order
-// when the pool is sorted; every deferred list must hold its count. For
+// when the pool is sorted, block for block as the pool's sorted-list
+// index records it; every deferred list must hold its count. For
 // tagged managers the sbrk region must then tile into valid blocks with
 // consistent boundary info. Chunk-carved heaps (no splitting) keep
 // deliberately conservative prevUsed bits at chunk boundaries, so only
@@ -619,6 +621,8 @@ func (m *Custom) checkFreeLists() error {
 		}
 		n := 0
 		var prev heap.Addr
+		var runs []sizeRun
+		var addrs []heap.Addr
 		roverListed := pl.rover == heap.Nil
 		for b := pl.head; b != heap.Nil; prev, b = b, m.nextFree(b) {
 			if n == pl.count {
@@ -634,6 +638,15 @@ func (m *Custom) checkFreeLists() error {
 			if prev != heap.Nil && !m.inOrder(prev, b) {
 				return fail(b, "is out of order after %#x", prev)
 			}
+			switch size := m.V.Size(b); {
+			case m.sizeSorted() && len(runs) > 0 && runs[len(runs)-1].size == size:
+				runs[len(runs)-1].last = b
+				runs[len(runs)-1].n++
+			case m.sizeSorted():
+				runs = append(runs, sizeRun{size: size, first: b, last: b, n: 1})
+			case m.addressOrdered():
+				addrs = append(addrs, b)
+			}
 			if b == pl.rover {
 				roverListed = true
 				if pl.roverPrev != prev {
@@ -646,6 +659,9 @@ func (m *Custom) checkFreeLists() error {
 		}
 		if pl.tail != prev {
 			return fail(pl.tail, "is the recorded tail, the list ends at %#x", prev)
+		}
+		if !slices.Equal(pl.runs, runs) || !slices.Equal(pl.addrs, addrs) {
+			return fail(pl.head, "the sorted-list index disagrees with the list")
 		}
 		if !roverListed {
 			return fail(pl.rover, "is the rover but not on the list")
@@ -678,9 +694,9 @@ func (m *Custom) poolError(pl *pool, b heap.Addr, problem string) error {
 // addresses (C2 = address order); other lists have no order.
 func (m *Custom) inOrder(a, b heap.Addr) bool {
 	switch {
-	case m.vec.BlockStructure == dspace.SizeSorted:
+	case m.sizeSorted():
 		return m.V.Size(a) <= m.V.Size(b)
-	case m.vec.FreeOrder == dspace.AddressOrder:
+	case m.addressOrdered():
 		return a < b
 	}
 	return true

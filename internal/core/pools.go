@@ -21,6 +21,11 @@ type poolKey struct {
 // merged, still carrying their used bit, as dlmalloc's fastbins do).
 // roverPrev is the rover's predecessor on the list (K&R's freep), which a
 // singly linked list needs to unlink a hit on the rover itself.
+//
+// A sorted list is mirrored host-side so that insertion, unlink and fit
+// find their place without walking simulated memory: runs indexes a
+// size-sorted list (A1 = size-sorted), addrs an address-ordered one
+// (C2 = address order). They charge the probes the in-band walk would.
 // idx is the pool's position in the sorted key slice (and in the pools
 // slice and nonempty bitset that run parallel to it); id is its stable
 // creation index, which the free-block side table records.
@@ -33,6 +38,55 @@ type pool struct {
 	nDeferred  int
 	idx        int
 	id         int
+	runs       []sizeRun
+	addrs      []heap.Addr
+}
+
+// sizeRun is a maximal run of equal-size blocks on a size-sorted list: n
+// blocks of gross size size, from first to last in list order.
+type sizeRun struct {
+	size        int64
+	first, last heap.Addr
+	n           int
+}
+
+// runAtLeast returns the position of the first run of at least size
+// bytes.
+func (pl *pool) runAtLeast(size int64) int {
+	lo, hi := 0, len(pl.runs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pl.runs[mid].size < size {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// blocksBefore returns the number of blocks ahead of run i on the list,
+// counting no further than limit.
+func (pl *pool) blocksBefore(i, limit int) int {
+	n := 0
+	for _, r := range pl.runs[:i] {
+		if n += r.n; n >= limit {
+			return limit
+		}
+	}
+	return n
+}
+
+// neighbours returns the list neighbours of an insertion in front of run
+// i: the last block of run i-1 and the first of run i.
+func (pl *pool) neighbours(i int) (prev, next heap.Addr) {
+	if i > 0 {
+		prev = pl.runs[i-1].last
+	}
+	if i < len(pl.runs) {
+		next = pl.runs[i].first
+	}
+	return prev, next
 }
 
 // poolFor returns (creating on demand) the pool for a key, charging the
@@ -95,15 +149,11 @@ func (m *Custom) insertFree(pl *pool, b heap.Addr) {
 	pl.count++
 	m.ne.Set(pl.idx)
 	m.Charge(mm.CostLink)
-	if pl.head == heap.Nil {
-		m.linkBetween(pl, b, heap.Nil, heap.Nil)
-		return
-	}
 	switch {
-	case m.vec.BlockStructure == dspace.SizeSorted:
-		m.insertSorted(pl, b, func(x heap.Addr) bool { return m.V.Size(x) >= m.V.Size(b) })
-	case m.vec.FreeOrder == dspace.AddressOrder:
-		m.insertSorted(pl, b, func(x heap.Addr) bool { return x > b })
+	case m.sizeSorted():
+		m.insertBySize(pl, b)
+	case m.addressOrdered():
+		m.insertByAddress(pl, b)
 	case m.vec.FreeOrder == dspace.FIFOOrder:
 		m.linkBetween(pl, b, pl.tail, heap.Nil)
 	default: // LIFO
@@ -111,16 +161,37 @@ func (m *Custom) insertFree(pl *pool, b heap.Addr) {
 	}
 }
 
-// insertSorted walks the list charging probes and inserts b before the
-// first element satisfying stop.
-func (m *Custom) insertSorted(pl *pool, b heap.Addr, stop func(heap.Addr) bool) {
-	var prev heap.Addr
-	cur := pl.head
-	for cur != heap.Nil && !stop(cur) {
-		m.Charge(mm.CostProbe)
-		prev, cur = cur, m.nextFree(cur)
+// insertBySize links b in front of its run of equal-size blocks, or
+// before the first larger run: where a walk for the first block at least
+// as large stops. It charges a probe per block ahead, as that walk does.
+func (m *Custom) insertBySize(pl *pool, b heap.Addr) {
+	size := m.V.Size(b)
+	i := pl.runAtLeast(size)
+	m.ChargeN(mm.CostProbe, int64(pl.blocksBefore(i, pl.count)))
+	prev, next := pl.neighbours(i)
+	if i < len(pl.runs) && pl.runs[i].size == size {
+		pl.runs[i].first = b
+		pl.runs[i].n++
+	} else {
+		pl.runs = slices.Insert(pl.runs, i, sizeRun{size: size, first: b, last: b, n: 1})
 	}
-	m.linkBetween(pl, b, prev, cur)
+	m.linkBetween(pl, b, prev, next)
+}
+
+// insertByAddress links b before the first higher address, charging a
+// probe per lower-addressed block, as the walk to it does.
+func (m *Custom) insertByAddress(pl *pool, b heap.Addr) {
+	i, _ := slices.BinarySearch(pl.addrs, b)
+	m.ChargeN(mm.CostProbe, int64(i))
+	var prev, next heap.Addr
+	if i > 0 {
+		prev = pl.addrs[i-1]
+	}
+	if i < len(pl.addrs) {
+		next = pl.addrs[i]
+	}
+	pl.addrs = slices.Insert(pl.addrs, i, b)
+	m.linkBetween(pl, b, prev, next)
 }
 
 // linkBetween links free block b into pl between its list neighbours
@@ -160,6 +231,16 @@ func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 	case pl.roverPrev:
 		pl.roverPrev = sprev
 	}
+	switch {
+	case m.sizeSorted():
+		m.unindexSize(pl, b, sprev)
+	case m.addressOrdered():
+		i, ok := slices.BinarySearch(pl.addrs, b)
+		if !ok {
+			m.invariant(b, "is unlinked from an address-ordered pool that does not index it")
+		}
+		pl.addrs = slices.Delete(pl.addrs, i, i+1)
+	}
 	if m.doubleLinks() {
 		next := m.nextFree(b)
 		prev := sprev
@@ -187,6 +268,26 @@ func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 	if pl.head == heap.Nil {
 		m.ne.Clear(pl.idx)
 	}
+}
+
+// unindexSize drops b, whose list predecessor is prev, from its run.
+func (m *Custom) unindexSize(pl *pool, b, prev heap.Addr) {
+	size := m.V.Size(b)
+	i := pl.runAtLeast(size)
+	if i == len(pl.runs) || pl.runs[i].size != size {
+		m.invariant(b, "is unlinked from a size-sorted pool that indexes no run of its size")
+	}
+	r := &pl.runs[i]
+	switch {
+	case r.n == 1:
+		pl.runs = slices.Delete(pl.runs, i, i+1)
+		return
+	case b == r.first:
+		r.first = m.nextFree(b)
+	case b == r.last:
+		r.last = prev
+	}
+	r.n--
 }
 
 // unlinkKnownFree removes a binned block found by address (used when
@@ -225,6 +326,9 @@ func (m *Custom) searchPool(pl *pool, gross int64) searchResult {
 	}
 	switch m.vec.Fit {
 	case dspace.FirstFit:
+		if m.sizeSorted() {
+			return m.fitBySize(pl, gross)
+		}
 		return m.scanFirst(pl.head, heap.Nil, gross)
 	case dspace.NextFit:
 		// After the hit is unlinked, the rover's predecessor is the hit's.
@@ -244,11 +348,32 @@ func (m *Custom) searchPool(pl *pool, gross int64) searchResult {
 		// Exact fit prefers an exact-size block (returned as soon as it
 		// is seen) and otherwise degrades to best fit within the probe
 		// budget.
+		if m.sizeSorted() {
+			return m.fitBySize(pl, gross)
+		}
 		return m.scanBest(pl, gross)
 	case dspace.WorstFit:
 		return m.scanWorst(pl, gross)
 	}
 	return searchResult{}
+}
+
+// fitBySize is first, best and exact fit over a size-sorted list: the
+// first block of the first run of at least gross bytes, found within the
+// probe budget. It charges what the scan from the head charges: a probe
+// per block up to and including the hit, or the whole budget (at most
+// the list) on a miss.
+func (m *Custom) fitBySize(pl *pool, gross int64) searchResult {
+	budget := max(m.par.MaxProbes, 0)
+	i := pl.runAtLeast(gross)
+	pos := pl.blocksBefore(i, budget)
+	if i == len(pl.runs) || pos == budget {
+		m.ChargeN(mm.CostProbe, int64(min(pl.count, budget)))
+		return searchResult{}
+	}
+	m.ChargeN(mm.CostProbe, int64(pos)+1)
+	prev, b := pl.neighbours(i)
+	return searchResult{b: b, sprev: prev, ok: true}
 }
 
 // scanFirst returns the first fitting block within the probe budget,
@@ -267,8 +392,7 @@ func (m *Custom) scanFirst(from, prev heap.Addr, gross int64) searchResult {
 }
 
 // scanBest finds the smallest fitting block within the probe budget,
-// returning immediately on an exact size match. With a size-sorted
-// structure the scan stops at the first fit.
+// returning immediately on an exact size match.
 func (m *Custom) scanBest(pl *pool, gross int64) searchResult {
 	var best, bestPrev, prev heap.Addr
 	var bestSize int64
@@ -283,9 +407,6 @@ func (m *Custom) scanBest(pl *pool, gross int64) searchResult {
 		if sz > gross && (best == heap.Nil || sz < bestSize) {
 			best, bestPrev, bestSize = b, prev, sz
 		}
-		if m.vec.BlockStructure == dspace.SizeSorted && sz > gross {
-			break // sorted ascending: this is already the best fit
-		}
 		prev = b
 	}
 	if best == heap.Nil {
@@ -295,7 +416,7 @@ func (m *Custom) scanBest(pl *pool, gross int64) searchResult {
 }
 
 func (m *Custom) scanWorst(pl *pool, gross int64) searchResult {
-	if m.vec.BlockStructure == dspace.SizeSorted {
+	if m.sizeSorted() {
 		// Largest block is at the tail.
 		m.Charge(mm.CostProbe)
 		if pl.tail != heap.Nil && m.sizeOf(pl.tail) >= gross {
@@ -318,6 +439,14 @@ func (m *Custom) scanWorst(pl *pool, gross int64) searchResult {
 		return searchResult{}
 	}
 	return searchResult{b: worst, sprev: worstPrev, ok: true}
+}
+
+// sizeSorted and addressOrdered name the two sorted list disciplines; a
+// size-sorted list ignores the C2 order.
+func (m *Custom) sizeSorted() bool { return m.vec.BlockStructure == dspace.SizeSorted }
+
+func (m *Custom) addressOrdered() bool {
+	return !m.sizeSorted() && m.vec.FreeOrder == dspace.AddressOrder
 }
 
 // Link-field helpers: doubly linked structures use both payload link
