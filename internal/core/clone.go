@@ -26,6 +26,7 @@ func (m *Custom) CloneManager() (mm.Manager, error) {
 		n.byID[id] = &cp
 		n.pools[cp.idx] = &cp
 	}
+	n.snapshot = nil
 	n.keys = slices.Clone(m.keys)
 	n.ne = m.ne.Clone()
 	n.grossOf = m.grossOf.Clone()

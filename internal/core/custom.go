@@ -28,6 +28,8 @@ type Custom struct {
 	byID  []*pool    // indexed by pool id: creation order
 	ne    bitset.Set // bit per keys position, set iff that pool's head != Nil
 
+	snapshot []*pool // consolidate's copy of pools; never shared by a clone
+
 	top       heap.Addr // wilderness chunk (tagged variable managers)
 	heapStart heap.Addr
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"dmmkit/internal/block"
 	"dmmkit/internal/dspace"
 	"dmmkit/internal/heap"
@@ -277,8 +275,10 @@ func (m *Custom) deferFree(b heap.Addr) {
 // binning the results (dlmalloc's malloc_consolidate generalized to the
 // D2=deferred leaf).
 func (m *Custom) consolidate() {
-	pools := slices.Clone(m.pools) // coalescing may add pools
-	for _, pl := range pools {
+	// Coalescing may add pools: iterate over a snapshot, kept on the
+	// manager so consolidation does not allocate.
+	m.snapshot = append(m.snapshot[:0], m.pools...)
+	for _, pl := range m.snapshot {
 		for b := pl.deferred; b != heap.Nil; {
 			next := m.nextFree(b)
 			m.Charge(mm.CostProbe)

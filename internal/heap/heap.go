@@ -148,8 +148,14 @@ func (h *Heap) ShrinkBrk(n int64) error {
 	h.brk -= Addr(n)
 	h.setSpan()
 	// Poison the released range so use-after-release shows up in tests.
-	for i := int64(h.brk); i < int64(h.brk)+n && i < int64(len(h.mem)); i++ {
-		h.mem[i] = 0xDD
+	// Sbrk regrows into these bytes and Checksum covers them. The fill
+	// doubles a copy rather than storing byte by byte.
+	if lo := int64(h.brk); lo < int64(len(h.mem)) {
+		poison := h.mem[lo:min(lo+n, int64(len(h.mem)))]
+		poison[0] = 0xDD
+		for k := 1; k < len(poison); k *= 2 {
+			copy(poison[k:], poison[:k])
+		}
 	}
 	h.nShrink++
 	return nil

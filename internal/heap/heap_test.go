@@ -84,6 +84,38 @@ func TestShrinkBrkValidation(t *testing.T) {
 	}
 }
 
+// TestShrinkBrkPoisonsReleasedBytes checks that every released byte, and
+// only those, reads 0xDD once Sbrk regrows into it, for release sizes
+// that are and are not powers of two.
+func TestShrinkBrkPoisonsReleasedBytes(t *testing.T) {
+	for _, release := range []int64{8, 64, 296, 1000} {
+		h := New(Config{})
+		a, err := h.Sbrk(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := Addr(0); off < 1024; off += 4 {
+			h.PutU32(a+off, 0x01020304)
+		}
+		if err := h.ShrinkBrk(release); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Sbrk(release); err != nil {
+			t.Fatal(err)
+		}
+		keep := Addr(1024 - release)
+		for off := Addr(0); off < 1024; off += 4 {
+			want := uint32(0x01020304)
+			if off >= keep {
+				want = 0xDDDDDDDD
+			}
+			if got := h.U32(a + off); got != want {
+				t.Fatalf("release %d: word at +%d = %#x, want %#x", release, off, got, want)
+			}
+		}
+	}
+}
+
 func TestFieldRoundTrip(t *testing.T) {
 	h := New(Config{})
 	a, err := h.Sbrk(64)
