@@ -273,3 +273,42 @@ func BenchmarkMicro_CustomDRRDesign(b *testing.B) {
 		return m
 	})
 }
+
+// Sorted free lists: the quick DRR trace replayed against a size-sorted
+// (A1) and an address-ordered (C2) custom manager. Neither coalesces or
+// splits, so their single pool's list grows to thousands of blocks and
+// every insertion lands at a sorted position in it.
+func BenchmarkMicro_CustomOrderedLists(b *testing.B) {
+	tr, _ := workloadTrace(b, experiments.WorkloadDRR)
+	base := dspace.Vector{
+		BlockStructure: dspace.DoublyLinked,
+		BlockSizes:     dspace.ManyVarSizes,
+		BlockTags:      dspace.HeaderTag,
+		RecordedInfo:   dspace.RecordSize,
+		Flex:           dspace.NoFlex,
+		PoolDivision:   dspace.SinglePool,
+		PoolRange:      dspace.AnyRange,
+		Fit:            dspace.FirstFit,
+	}
+	sizeSorted, addressOrdered := base, base
+	sizeSorted.BlockStructure, sizeSorted.Fit = dspace.SizeSorted, dspace.BestFit
+	addressOrdered.FreeOrder = dspace.AddressOrder
+	for _, bc := range []struct {
+		name string
+		vec  dspace.Vector
+	}{{"size-sorted", sizeSorted}, {"address-ordered", addressOrdered}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := dmmkit.NewCustom(dmmkit.NewHeap(), bc.vec, dmmkit.Params{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := trace.Run(context.Background(), m, tr, trace.RunOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Events)), "ns/event")
+		})
+	}
+}
