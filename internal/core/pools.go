@@ -222,18 +222,19 @@ func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 	pl.count--
 	m.freeKey.Take(b)
 	m.Charge(mm.CostUnlink)
+	prev, next := sprev, m.nextFree(b)
 	if m.doubleLinks() {
-		sprev = m.prevFree(b)
+		prev = m.prevFree(b)
 	}
 	switch b {
 	case pl.rover:
-		pl.rover = m.nextFree(b) // its predecessor stays roverPrev
+		pl.rover = next // its predecessor stays roverPrev
 	case pl.roverPrev:
-		pl.roverPrev = sprev
+		pl.roverPrev = prev
 	}
 	switch {
 	case m.sizeSorted():
-		m.unindexSize(pl, b, sprev)
+		m.unindexSize(pl, b, prev, next)
 	case m.addressOrdered():
 		i, ok := slices.BinarySearch(pl.addrs, b)
 		if !ok {
@@ -241,37 +242,23 @@ func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 		}
 		pl.addrs = slices.Delete(pl.addrs, i, i+1)
 	}
-	if m.doubleLinks() {
-		next := m.nextFree(b)
-		prev := sprev
-		if prev == heap.Nil {
-			pl.head = next
-		} else {
-			m.setNextFree(prev, next)
-		}
-		if next != heap.Nil {
-			m.setPrevFree(next, prev)
-		} else {
-			pl.tail = prev
-		}
+	if prev == heap.Nil {
+		pl.head = next
 	} else {
-		next := m.nextFree(b)
-		if sprev == heap.Nil {
-			pl.head = next
-		} else {
-			m.setNextFree(sprev, next)
-		}
-		if pl.tail == b {
-			pl.tail = sprev
-		}
+		m.setNextFree(prev, next)
+	}
+	if next != heap.Nil {
+		m.setPrevFree(next, prev)
+	} else {
+		pl.tail = prev
 	}
 	if pl.head == heap.Nil {
 		m.ne.Clear(pl.idx)
 	}
 }
 
-// unindexSize drops b, whose list predecessor is prev, from its run.
-func (m *Custom) unindexSize(pl *pool, b, prev heap.Addr) {
+// unindexSize drops b, listed between prev and next, from its run.
+func (m *Custom) unindexSize(pl *pool, b, prev, next heap.Addr) {
 	size := m.V.Size(b)
 	i := pl.runAtLeast(size)
 	if i == len(pl.runs) || pl.runs[i].size != size {
@@ -283,7 +270,7 @@ func (m *Custom) unindexSize(pl *pool, b, prev heap.Addr) {
 		pl.runs = slices.Delete(pl.runs, i, i+1)
 		return
 	case b == r.first:
-		r.first = m.nextFree(b)
+		r.first = next
 	case b == r.last:
 		r.last = prev
 	}
