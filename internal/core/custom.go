@@ -637,16 +637,24 @@ func (m *Custom) checkFreeLists() error {
 			if m.doubleLinks() && m.prevFree(b) != prev {
 				return fail(b, "back link %#x, want %#x", m.prevFree(b), prev)
 			}
-			if prev != heap.Nil && !m.inOrder(prev, b) {
-				return fail(b, "is out of order after %#x", prev)
-			}
-			switch size := m.V.Size(b); {
-			case m.sizeSorted() && len(runs) > 0 && runs[len(runs)-1].size == size:
-				runs[len(runs)-1].last = b
-				runs[len(runs)-1].n++
+			// Sorted lists are rebuilt into the index form as they are
+			// walked, checking the order on the way.
+			switch {
 			case m.sizeSorted():
-				runs = append(runs, sizeRun{size: size, first: b, last: b, n: 1})
+				size, last := m.V.Size(b), len(runs)-1
+				switch {
+				case last >= 0 && runs[last].size > size:
+					return fail(b, "is smaller than the block before it")
+				case last >= 0 && runs[last].size == size:
+					runs[last].last = b
+					runs[last].n++
+				default:
+					runs = append(runs, sizeRun{size: size, first: b, last: b, n: 1})
+				}
 			case m.addressOrdered():
+				if prev >= b && prev != heap.Nil {
+					return fail(b, "is out of address order after %#x", prev)
+				}
 				addrs = append(addrs, b)
 			}
 			if b == pl.rover {
@@ -689,19 +697,6 @@ func (m *Custom) checkFreeLists() error {
 func (m *Custom) poolError(pl *pool, b heap.Addr, problem string) error {
 	k := m.keys[pl.idx]
 	return fmt.Errorf("core: %s: pool (phase %d, class %d), block %#x: %s", m.name, k.phase, k.class, b, problem)
-}
-
-// inOrder reports whether free block b may follow a on a list: sorted
-// pools keep non-decreasing sizes (A1 = size-sorted) or ascending
-// addresses (C2 = address order); other lists have no order.
-func (m *Custom) inOrder(a, b heap.Addr) bool {
-	switch {
-	case m.sizeSorted():
-		return m.V.Size(a) <= m.V.Size(b)
-	case m.addressOrdered():
-		return a < b
-	}
-	return true
 }
 
 var _ mm.Manager = (*Custom)(nil)
