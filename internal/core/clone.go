@@ -11,9 +11,9 @@ import (
 
 // CloneManager implements mm.Cloner. Pools with their sorted-list
 // indexes, keys, the nonempty bitset and the out-of-band size/pool tables
-// are deep-copied with the base;
-// the design vector and parameters are read-only after construction and
-// shared.
+// are deep-copied with the base, and the pool cache and consolidation
+// snapshot, which point at the original's pools, start empty; the design
+// vector and parameters are read-only after construction and shared.
 func (m *Custom) CloneManager() (mm.Manager, error) {
 	n := *m
 	n.Base = m.CloneBase()
@@ -26,7 +26,7 @@ func (m *Custom) CloneManager() (mm.Manager, error) {
 		n.byID[id] = &cp
 		n.pools[cp.idx] = &cp
 	}
-	n.snapshot = nil
+	n.snapshot, n.lastPool = nil, nil
 	n.keys = slices.Clone(m.keys)
 	n.ne = m.ne.Clone()
 	n.grossOf = m.grossOf.Clone()

@@ -29,6 +29,7 @@ type Custom struct {
 	ne    bitset.Set // bit per keys position, set iff that pool's head != Nil
 
 	snapshot []*pool // consolidate's copy of pools; never shared by a clone
+	lastPool *pool   // the pool poolFor found last; never shared by a clone
 
 	top       heap.Addr // wilderness chunk (tagged variable managers)
 	heapStart heap.Addr
@@ -39,8 +40,8 @@ type Custom struct {
 	// Out-of-band side tables, indexed by block address over the break
 	// region. grossOf holds untagged blocks' gross sizes in units of
 	// heap.Align; freeKey holds the id+1 of the pool each binned free
-	// block sits in. Direct blocks live in mapped segments, whose sizes
-	// the heap already records.
+	// block sits in, kept only when recordsFreePools. Direct blocks live
+	// in mapped segments, whose sizes the heap already records.
 	grossOf mm.AddrMap
 	freeKey mm.AddrMap
 
@@ -124,6 +125,11 @@ func (m *Custom) canSplit() bool {
 func (m *Custom) canCoalesce() bool {
 	return m.vec.Flex == dspace.CoalesceOnly || m.vec.Flex == dspace.SplitCoalesce
 }
+
+// recordsFreePools reports whether the free-block table records each
+// binned block's pool. Only coalescing looks a free block's pool up by
+// address (unlinkKnownFree), and a manager coalesces iff D2 is not never.
+func (m *Custom) recordsFreePools() bool { return m.vec.CoalesceWhen != dspace.Never }
 
 // sizeOf returns the gross size of block b from its header or, for
 // untagged layouts, from the partition table.
@@ -590,11 +596,11 @@ func (m *Custom) FreeBlocks() int {
 // CheckInvariants validates the manager's free lists and the in-band
 // structure of tagged managers. Every pool's in-band list must hold
 // exactly its count of blocks, each recorded in the free-block table as
-// that pool's, with consistent back links, tail and rover, and in order
-// when the pool is sorted, block for block as the pool's sorted-list
-// index records it; every deferred list must hold its count. For
-// tagged managers the sbrk region must then tile into valid blocks with
-// consistent boundary info. Chunk-carved heaps (no splitting) keep
+// that pool's when the manager records pools, with consistent back
+// links, tail and rover, and in order when the pool is sorted, block for
+// block as the pool's sorted-list index records it; every deferred list
+// must hold its count. For tagged managers the sbrk region must then
+// tile into valid blocks with consistent boundary info. Chunk-carved heaps (no splitting) keep
 // deliberately conservative prevUsed bits at chunk boundaries, so only
 // the tiling is checked there.
 func (m *Custom) CheckInvariants() error {
@@ -631,7 +637,7 @@ func (m *Custom) checkFreeLists() error {
 				return fail(b, "the list runs past the pool's count of %d", pl.count)
 			}
 			n++
-			if id, ok := m.freeKey.Get(b); !ok || int(id) != pl.id+1 {
+			if id, ok := m.freeKey.Get(b); m.recordsFreePools() && (!ok || int(id) != pl.id+1) {
 				return fail(b, "is listed but the free-block table names pool id+1 %d", id)
 			}
 			if m.doubleLinks() && m.prevFree(b) != prev {

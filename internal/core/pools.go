@@ -90,14 +90,22 @@ func (pl *pool) neighbours(i int) (prev, next heap.Addr) {
 }
 
 // poolFor returns (creating on demand) the pool for a key, charging the
-// B2 pool-structure lookup cost.
+// B2 pool-structure lookup cost. Consecutive requests mostly name the
+// same pool, so the last one found is tried before the key search; its
+// lookup is charged at its position all the same.
 func (m *Custom) poolFor(k poolKey) *pool {
+	if pl := m.lastPool; pl != nil && m.keys[pl.idx] == k {
+		m.chargeLookup(pl.idx)
+		return pl
+	}
 	pos := m.keyPos(k)
 	m.chargeLookup(pos)
 	if pos < len(m.keys) && m.keys[pos] == k {
-		return m.pools[pos]
+		m.lastPool = m.pools[pos]
+		return m.lastPool
 	}
 	pl := &pool{idx: pos, id: len(m.byID)}
+	m.lastPool = pl
 	m.byID = append(m.byID, pl)
 	m.keys = slices.Insert(m.keys, pos, k)
 	m.pools = slices.Insert(m.pools, pos, pl)
@@ -143,7 +151,7 @@ func keyLess(a, b poolKey) bool {
 // insertFree places free block b (gross size known) into pool pl honouring
 // the A1 structure and C2 ordering decisions, and records pl as b's pool.
 func (m *Custom) insertFree(pl *pool, b heap.Addr) {
-	if !m.freeKey.Put(b, uint32(pl.id+1)) {
+	if m.recordsFreePools() && !m.freeKey.Put(b, uint32(pl.id+1)) {
 		m.invariant(b, "is free but cannot be recorded in the pool table")
 	}
 	pl.count++
@@ -220,7 +228,9 @@ func (m *Custom) linkBetween(pl *pool, b, prev, next heap.Addr) {
 // do.
 func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 	pl.count--
-	m.freeKey.Take(b)
+	if m.recordsFreePools() {
+		m.freeKey.Take(b)
+	}
 	m.Charge(mm.CostUnlink)
 	prev, next := sprev, m.nextFree(b)
 	if m.doubleLinks() {
