@@ -20,15 +20,15 @@ type poolKey struct {
 // for next fit and the deferred-coalescing list (blocks freed but not yet
 // merged, still carrying their used bit, as dlmalloc's fastbins do).
 // roverPrev is the rover's predecessor on the list (K&R's freep), which a
-// singly linked list needs to unlink a hit on the rover itself.
+// singly linked list needs to unlink a hit on the rover itself. idx is
+// the pool's position in the sorted key slice (and in the pools slice and
+// nonempty bitset that run parallel to it); id is its stable creation
+// index, which the free-block side table records.
 //
 // A sorted list is mirrored host-side so that insertion, unlink and fit
 // find their place without walking simulated memory: runs indexes a
 // size-sorted list (A1 = size-sorted), addrs an address-ordered one
 // (C2 = address order). They charge the probes the in-band walk would.
-// idx is the pool's position in the sorted key slice (and in the pools
-// slice and nonempty bitset that run parallel to it); id is its stable
-// creation index, which the free-block side table records.
 type pool struct {
 	head, tail heap.Addr
 	count      int
