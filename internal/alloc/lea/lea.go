@@ -168,7 +168,7 @@ func (m *Manager) allocMapped(req mm.Request) (heap.Addr, error) {
 	}
 	m.Charge(mm.CostSbrk)
 	segGross := m.V.H.SegmentSize(base)
-	m.V.SetHeader(base, gross, true, true)
+	m.V.SetSegmentHeader(base, gross)
 	p := m.V.Payload(base)
 	m.Live.Add(p, req.Size)
 	m.NoteAlloc(req.Size, segGross)
@@ -208,7 +208,7 @@ func (m *Manager) split(b heap.Addr, want int64) {
 	rem := b + heap.Addr(want)
 	m.V.SetHeader(b, want, true, m.V.PrevUsed(b))
 	m.V.SetHeader(rem, have-want, false, true)
-	m.V.WriteFooter(rem)
+	m.V.WriteFooterSized(rem, have-want)
 	m.NoteSplit()
 	m.binFree(rem)
 }
@@ -239,13 +239,24 @@ func (m *Manager) bestFit(gross int64) heap.Addr {
 	//dmm:hotloop
 	for avail := m.largeMask >> start; avail != 0; avail &= avail - 1 {
 		i := start + bits.TrailingZeros32(avail)
-		for b := m.large[i]; b != heap.Nil; b = m.V.NextFree(b) {
-			m.Charge(mm.CostProbe)
-			if m.V.Size(b) >= gross {
-				m.unlinkLarge(b, i)
-				m.Charge(mm.CostUnlink)
-				return b
-			}
+		if b := m.firstFitLarge(i, gross); b != heap.Nil {
+			m.unlinkLarge(b, i)
+			m.Charge(mm.CostUnlink)
+			return b
+		}
+	}
+	return heap.Nil
+}
+
+// firstFitLarge returns the first block of at least gross bytes on large
+// bin i, or Nil, charging a probe per block visited. It stays a call of
+// its own, one per bin visited: inlined, the bounds checks of its heap
+// word reads would sit in bestFit's bin loop.
+func (m *Manager) firstFitLarge(i int, gross int64) heap.Addr {
+	for b := m.large[i]; b != heap.Nil; b = m.V.NextFree(b) {
+		m.Charge(mm.CostProbe)
+		if m.V.Size(b) >= gross {
+			return b
 		}
 	}
 	return heap.Nil

@@ -1,6 +1,7 @@
 package obstack
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"dmmkit/internal/block"
@@ -76,7 +77,9 @@ func (m *Manager) Alloc(req mm.Request) (heap.Addr, error) {
 			return heap.Nil, err
 		}
 		m.Charge(mm.CostSbrk)
-		m.V.H.PutU32(base, uint32(sz))
+		// Chunks are mapped segments, which the heap's word accessors
+		// do not serve: the header goes through the checked Bytes path.
+		binary.LittleEndian.PutUint32(m.V.H.Bytes(base, 4), uint32(sz))
 		m.chunks = append(m.chunks, chunk{base: base, size: m.V.H.SegmentSize(base), off: chunkHdr})
 		ci = len(m.chunks) - 1
 	}

@@ -1,6 +1,8 @@
 package block
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"dmmkit/internal/heap"
@@ -115,14 +117,13 @@ func (l Layout) Validate() error {
 
 // HeaderBytes returns the bytes reserved before the payload.
 func (l Layout) HeaderBytes() int64 {
-	if l.Tags == TagsNone {
+	switch {
+	case l.Tags == TagsNone:
 		return 0
+	case l.Info&InfoPrevSize != 0:
+		return 8 // size|status word, prev size
 	}
-	n := int64(4) // size|status word
-	if l.Info.Has(InfoPrevSize) {
-		n += 4
-	}
-	return n
+	return 4 // size|status word
 }
 
 // FooterBytes returns the bytes reserved after the payload.
@@ -179,13 +180,20 @@ func NewView(h *heap.Heap, l Layout) View {
 	return View{H: h, L: l}
 }
 
-// SetHeader writes the size/status header of the block at b.
-func (v View) SetHeader(b heap.Addr, size int64, used, prevUsed bool) {
-	if v.L.Tags == TagsNone {
-		panic("block: SetHeader on layout without tags")
-	}
+// Panic values of the layout guards: a guard that fires is a programmer
+// error, since the design-space constraints pick the accessors a layout
+// supports. Package-level values keep the guards from adding an escape
+// to the callers the accessors inline into.
+var (
+	errNoTags     = errors.New("block: header write on layout without tags")
+	errNoPrevSize = errors.New("block: prev-size field on layout without InfoPrevSize")
+	errNoFooter   = errors.New("block: footer access on layout without footer tags")
+)
+
+// header encodes the size/status header word of a block.
+func (l Layout) header(size int64, used, prevUsed bool) uint32 {
 	w := uint32(size) & sizeMask
-	if v.L.Info.Has(InfoStatus) {
+	if l.Info.Has(InfoStatus) {
 		if used {
 			w |= usedBit
 		}
@@ -193,7 +201,28 @@ func (v View) SetHeader(b heap.Addr, size int64, used, prevUsed bool) {
 			w |= prevUsedBit
 		}
 	}
-	v.H.PutU32(b, w)
+	return w
+}
+
+// SetHeader writes the size/status header of the block at b, which must
+// lie in the heap's sbrk region.
+func (v View) SetHeader(b heap.Addr, size int64, used, prevUsed bool) {
+	if v.L.Tags == TagsNone {
+		panic(errNoTags)
+	}
+	v.H.PutU32(b, v.L.header(size, used, prevUsed))
+}
+
+// SetSegmentHeader writes the header of a used block at the base of a
+// mapped segment. Segments lie outside the sbrk region the other
+// accessors serve, so the write goes through the heap's checked Bytes
+// path; the block is the segment's only one, and its prevUsed bit is
+// set so that nothing ever looks behind it.
+func (v View) SetSegmentHeader(b heap.Addr, size int64) {
+	if v.L.Tags == TagsNone {
+		panic(errNoTags)
+	}
+	binary.LittleEndian.PutUint32(v.H.Bytes(b, 4), v.L.header(size, true, true))
 }
 
 // Size returns the gross size recorded in the header of the block at b.
@@ -231,7 +260,7 @@ func (v View) SetPrevUsed(b heap.Addr, used bool) {
 // layouts only).
 func (v View) SetPrevSize(b heap.Addr, size int64) {
 	if !v.L.Info.Has(InfoPrevSize) {
-		panic("block: SetPrevSize without InfoPrevSize")
+		panic(errNoPrevSize)
 	}
 	v.H.PutU32(b+4, uint32(size))
 }
@@ -240,23 +269,18 @@ func (v View) SetPrevSize(b heap.Addr, size int64) {
 // (InfoPrevSize layouts only).
 func (v View) PrevSizeField(b heap.Addr) int64 {
 	if !v.L.Info.Has(InfoPrevSize) {
-		panic("block: PrevSizeField without InfoPrevSize")
+		panic(errNoPrevSize)
 	}
 	return int64(v.H.U32(b + 4))
 }
 
-// WriteFooter copies the block's size into its footer (TagsBoth layouts).
-// Following dlmalloc, footers need only be valid on free blocks, but
-// writing them unconditionally is also legal.
-func (v View) WriteFooter(b heap.Addr) {
-	v.WriteFooterSized(b, v.Size(b))
-}
-
-// WriteFooterSized writes the footer of the block at b whose gross size
-// the caller already holds, skipping the header re-read.
+// WriteFooterSized copies the gross size of the block at b, which the
+// caller already holds, into its footer (TagsBoth layouts). Following
+// dlmalloc, footers need only be valid on free blocks, but writing them
+// unconditionally is also legal.
 func (v View) WriteFooterSized(b heap.Addr, size int64) {
 	if v.L.Tags != TagsBoth {
-		panic("block: WriteFooter without footer tags")
+		panic(errNoFooter)
 	}
 	v.H.PutU32(b+heap.Addr(size)-4, uint32(size))
 }
@@ -265,7 +289,7 @@ func (v View) WriteFooterSized(b heap.Addr, size int64) {
 // which sits immediately before b (TagsBoth layouts, prev block free).
 func (v View) PrevFooterSize(b heap.Addr) int64 {
 	if v.L.Tags != TagsBoth {
-		panic("block: PrevFooterSize without footer tags")
+		panic(errNoFooter)
 	}
 	return int64(v.H.U32(b-4) & sizeMask)
 }
@@ -287,18 +311,19 @@ func (v View) NextFree(b heap.Addr) heap.Addr { return v.H.Ptr(v.Payload(b)) }
 // SetNextFree writes the forward free-list link of the free block at b.
 func (v View) SetNextFree(b, to heap.Addr) { v.H.PutPtr(v.Payload(b), to) }
 
-// PrevFree returns the backward free-list link (LinksDouble layouts).
+// PrevFree returns the backward free-list link of the free block at b,
+// or Nil when the layout keeps no back links (anything but LinksDouble).
 func (v View) PrevFree(b heap.Addr) heap.Addr {
 	if v.L.Links != LinksDouble {
-		panic("block: PrevFree without double links")
+		return heap.Nil
 	}
 	return v.H.Ptr(v.Payload(b) + 4)
 }
 
-// SetPrevFree writes the backward free-list link (LinksDouble layouts).
+// SetPrevFree writes the backward free-list link of the free block at b;
+// it does nothing when the layout keeps no back links.
 func (v View) SetPrevFree(b, to heap.Addr) {
-	if v.L.Links != LinksDouble {
-		panic("block: SetPrevFree without double links")
+	if v.L.Links == LinksDouble {
+		v.H.PutPtr(v.Payload(b)+4, to)
 	}
-	v.H.PutPtr(v.Payload(b)+4, to)
 }

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -114,7 +115,7 @@ func TestFooterAndPrevFooterSize(t *testing.T) {
 	h, a := newHeap(t, 256)
 	v := NewView(h, Layout{TagsBoth, InfoSize | InfoStatus, LinksDouble})
 	v.SetHeader(a, 64, false, true)
-	v.WriteFooter(a)
+	v.WriteFooterSized(a, 64)
 	next := v.Next(a)
 	v.SetHeader(next, 32, true, false)
 	if got := v.PrevFooterSize(next); got != 64 {
@@ -182,16 +183,24 @@ func TestWalkDetectsCorruptSize(t *testing.T) {
 	}
 }
 
+// freeAt returns a free-list predicate naming exactly the given blocks.
+func freeAt(blocks ...heap.Addr) func(heap.Addr) bool {
+	return func(b heap.Addr) bool { return slices.Contains(blocks, b) }
+}
+
 func TestCheckRegionPrevUsedConsistency(t *testing.T) {
 	h, a := newHeap(t, 64)
 	v := NewView(h, Layout{TagsHeader, InfoSize | InfoStatus, LinksSingle})
 	v.SetHeader(a, 32, true, true)
 	v.SetHeader(a+32, 32, false, true) // consistent: prev is used
-	if _, err := v.CheckRegion(a, a+64); err != nil {
+	if _, err := v.CheckRegion(a, a+64, freeAt(a+32)); err != nil {
 		t.Errorf("consistent region rejected: %v", err)
 	}
+	if _, err := v.CheckRegion(a, a+64, freeAt()); err == nil {
+		t.Error("free block the free lists call used accepted")
+	}
 	v.SetPrevUsed(a+32, false) // now inconsistent
-	if _, err := v.CheckRegion(a, a+64); err == nil {
+	if _, err := v.CheckRegion(a, a+64, freeAt(a+32)); err == nil {
 		t.Error("inconsistent prevUsed accepted")
 	}
 }
@@ -200,13 +209,30 @@ func TestCheckRegionFooterConsistency(t *testing.T) {
 	h, a := newHeap(t, 64)
 	v := NewView(h, Layout{TagsBoth, InfoSize | InfoStatus, LinksDouble})
 	v.SetHeader(a, 64, false, true)
-	v.WriteFooter(a)
-	if _, err := v.CheckRegion(a, a+64); err != nil {
+	v.WriteFooterSized(a, 64)
+	if _, err := v.CheckRegion(a, a+64, freeAt(a)); err != nil {
 		t.Errorf("consistent footer rejected: %v", err)
 	}
 	h.PutU32(a+60, 32) // corrupt footer
-	if _, err := v.CheckRegion(a, a+64); err == nil {
+	if _, err := v.CheckRegion(a, a+64, freeAt(a)); err == nil {
 		t.Error("corrupt footer accepted")
+	}
+}
+
+// TestCheckRegionFootersWithoutStatus pins the check for layouts that
+// record no status bit: free-ness comes from the free lists, so a used
+// block's unwritten footer passes and a free block's bad footer fails.
+func TestCheckRegionFootersWithoutStatus(t *testing.T) {
+	h, a := newHeap(t, 64)
+	v := NewView(h, Layout{TagsBoth, InfoSize, LinksDouble})
+	v.SetHeader(a, 32, true, true) // used, footer never written
+	v.SetHeader(a+32, 32, false, true)
+	v.WriteFooterSized(a+32, 32)
+	if _, err := v.CheckRegion(a, a+64, freeAt(a+32)); err != nil {
+		t.Errorf("used block without footer rejected: %v", err)
+	}
+	if _, err := v.CheckRegion(a, a+64, freeAt(a, a+32)); err == nil {
+		t.Error("free block without footer accepted")
 	}
 }
 

@@ -38,31 +38,37 @@ func (v View) Walk(start, end heap.Addr, fn func(BlockInfo) error) error {
 }
 
 // CheckRegion validates the full boundary-tag invariants of the contiguous
-// region [start, end): block sizes tile the region exactly; with status
-// recorded, prevUsed bits match the previous block's used bit; with footers,
-// every free block's footer equals its header size. It returns the number
-// of blocks on success.
-func (v View) CheckRegion(start, end heap.Addr) (int, error) {
+// region [start, end): block sizes tile the region exactly, and free
+// reports which blocks are free. The caller's free lists know that; the
+// tags alone cannot, since a layout without status bits records none.
+// With status recorded, every block's used bit must agree with free and
+// every prevUsed bit with the previous block; with footers, every free
+// block's footer must equal its header size. It returns the number of
+// blocks on success.
+func (v View) CheckRegion(start, end heap.Addr, free func(heap.Addr) bool) (int, error) {
 	n := 0
 	prevKnown := false
 	prevUsed := false
 	err := v.Walk(start, end, func(bi BlockInfo) error {
 		n++
-		if v.L.Info.Has(InfoStatus) && prevKnown {
-			if got := v.PrevUsed(bi.Addr); got != prevUsed {
-				return fmt.Errorf("block: prevUsed bit at %#x is %v, neighbour is %v", bi.Addr, got, prevUsed)
+		used := !free(bi.Addr)
+		if v.L.Info.Has(InfoStatus) {
+			if bi.Used != used {
+				return fmt.Errorf("block: used bit at %#x is %v, want %v from the free lists", bi.Addr, bi.Used, used)
+			}
+			if prevKnown {
+				if got := v.PrevUsed(bi.Addr); got != prevUsed {
+					return fmt.Errorf("block: prevUsed bit at %#x is %v, neighbour is %v", bi.Addr, got, prevUsed)
+				}
 			}
 		}
-		if v.L.Tags == TagsBoth && !bi.Used {
+		if v.L.Tags == TagsBoth && !used {
 			if f := int64(v.H.U32(bi.Addr+heap.Addr(bi.Size)-4) & sizeMask); f != bi.Size {
 				return fmt.Errorf("block: footer %d != header %d at %#x", f, bi.Size, bi.Addr)
 			}
 		}
-		prevKnown, prevUsed = true, bi.Used
+		prevKnown, prevUsed = true, used
 		return nil
 	})
-	if err != nil {
-		return n, err
-	}
-	return n, nil
+	return n, err
 }

@@ -301,7 +301,7 @@ func (m *Custom) allocFromPools(phase int, class int64, gross int64) (heap.Addr,
 		m.unlink(pl, r.b, r.sprev)
 		have := m.sizeOf(r.b)
 		if have > gross && m.maySplit(have, gross) {
-			m.split(r.b, gross)
+			m.split(r.b, have, gross)
 			have = gross
 		}
 		return r.b, have, true
@@ -373,13 +373,13 @@ func (m *Custom) chargeSkippedPools(from, to, exact int) {
 func (m *Custom) popDeferredExact(class, gross int64) heap.Addr {
 	pl := m.poolFor(m.keyFor(m.phase, class))
 	var prev heap.Addr
-	for b := pl.deferred; b != heap.Nil; b = m.nextFree(b) {
+	for b := pl.deferred; b != heap.Nil; b = m.V.NextFree(b) {
 		m.Charge(mm.CostProbe)
 		if m.sizeOf(b) == gross {
 			if prev == heap.Nil {
-				pl.deferred = m.nextFree(b)
+				pl.deferred = m.V.NextFree(b)
 			} else {
-				m.setNextFree(prev, m.nextFree(b))
+				m.V.SetNextFree(prev, m.V.NextFree(b))
 			}
 			pl.nDeferred--
 			m.Charge(mm.CostUnlink)
@@ -443,7 +443,7 @@ func (m *Custom) initBlock(b heap.Addr, gross int64, prevFree bool) {
 		return
 	}
 	m.V.SetHeader(b, gross, false, !prevFree)
-	m.writeNeighborInfo(b)
+	m.writeNeighborInfo(b, gross)
 	m.Charge(mm.CostHeader)
 }
 
@@ -484,7 +484,7 @@ func (m *Custom) allocDirect(req mm.Request) (heap.Addr, error) {
 	segGross := m.V.H.SegmentSize(base)
 	var p heap.Addr
 	if m.tagged {
-		m.V.SetHeader(base, gross, true, true)
+		m.V.SetSegmentHeader(base, gross)
 		p = m.V.Payload(base)
 	} else {
 		p = base
@@ -505,7 +505,7 @@ func (m *Custom) sealAlloc(b heap.Addr, gross int64, req mm.Request) heap.Addr {
 				m.V.SetPrevSize(next, gross)
 			}
 		}
-		m.markNeighborOfFree(b, true)
+		m.markNeighborOfFree(b, gross, true)
 		m.Charge(mm.CostHeader)
 		p = m.V.Payload(b)
 	} else {
@@ -552,10 +552,10 @@ func (m *Custom) Free(p heap.Addr) error {
 	default: // Never
 		if m.tagged && m.hasStatus() {
 			m.V.SetUsed(b, false)
-			m.markNeighborOfFree(b, false)
+			m.markNeighborOfFree(b, gross, false)
 		}
 		if m.tagged {
-			m.writeNeighborInfo(b) // keep boundary tags consistent
+			m.writeNeighborInfo(b, gross) // keep boundary tags consistent
 		}
 		m.binFree(b)
 	}
@@ -600,11 +600,13 @@ func (m *Custom) FreeBlocks() int {
 // links, tail and rover, and in order when the pool is sorted, block for
 // block as the pool's sorted-list index records it; every deferred list
 // must hold its count. For tagged managers the sbrk region must then
-// tile into valid blocks with consistent boundary info. Chunk-carved heaps (no splitting) keep
-// deliberately conservative prevUsed bits at chunk boundaries, so only
-// the tiling is checked there.
+// tile into valid blocks with consistent boundary info, where the listed
+// blocks and the wilderness are the free ones. Chunk-carved heaps (no
+// splitting) keep deliberately conservative prevUsed bits at chunk
+// boundaries, so only the tiling is checked there.
 func (m *Custom) CheckInvariants() error {
-	if err := m.checkFreeLists(); err != nil {
+	listed, err := m.checkFreeLists()
+	if err != nil {
 		return err
 	}
 	if !m.tagged || m.heapStart == heap.Nil || m.heapStart >= m.V.H.Brk() {
@@ -614,15 +616,19 @@ func (m *Custom) CheckInvariants() error {
 		return nil
 	}
 	if m.canSplit() {
-		_, err := m.V.CheckRegion(m.heapStart, m.V.H.Brk())
+		_, err := m.V.CheckRegion(m.heapStart, m.V.H.Brk(), func(b heap.Addr) bool {
+			return listed[b] || b == m.top
+		})
 		return err
 	}
 	return m.V.Walk(m.heapStart, m.V.H.Brk(), func(block.BlockInfo) error { return nil })
 }
 
 // checkFreeLists walks every pool's free list and deferred list, bounded
-// by the pool's counts so a cycle cannot hang it.
-func (m *Custom) checkFreeLists() error {
+// by the pool's counts so a cycle cannot hang it, and returns the set of
+// blocks on the free lists.
+func (m *Custom) checkFreeLists() (map[heap.Addr]bool, error) {
+	listed := map[heap.Addr]bool{}
 	for _, pl := range m.pools {
 		fail := func(b heap.Addr, format string, args ...any) error {
 			return m.poolError(pl, b, fmt.Sprintf(format, args...))
@@ -632,16 +638,17 @@ func (m *Custom) checkFreeLists() error {
 		var runs []sizeRun
 		var addrs []heap.Addr
 		roverListed := pl.rover == heap.Nil
-		for b := pl.head; b != heap.Nil; prev, b = b, m.nextFree(b) {
+		for b := pl.head; b != heap.Nil; prev, b = b, m.V.NextFree(b) {
 			if n == pl.count {
-				return fail(b, "the list runs past the pool's count of %d", pl.count)
+				return nil, fail(b, "the list runs past the pool's count of %d", pl.count)
 			}
 			n++
+			listed[b] = true
 			if id, ok := m.freeKey.Get(b); m.recordsFreePools() && (!ok || int(id) != pl.id+1) {
-				return fail(b, "is listed but the free-block table names pool id+1 %d", id)
+				return nil, fail(b, "is listed but the free-block table names pool id+1 %d", id)
 			}
-			if m.doubleLinks() && m.prevFree(b) != prev {
-				return fail(b, "back link %#x, want %#x", m.prevFree(b), prev)
+			if m.doubleLinks() && m.V.PrevFree(b) != prev {
+				return nil, fail(b, "back link %#x, want %#x", m.V.PrevFree(b), prev)
 			}
 			// Sorted lists are rebuilt into the index form as they are
 			// walked, checking the order on the way.
@@ -650,7 +657,7 @@ func (m *Custom) checkFreeLists() error {
 				size, last := m.V.Size(b), len(runs)-1
 				switch {
 				case last >= 0 && runs[last].size > size:
-					return fail(b, "is smaller than the block before it")
+					return nil, fail(b, "is smaller than the block before it")
 				case last >= 0 && runs[last].size == size:
 					runs[last].last = b
 					runs[last].n++
@@ -659,44 +666,44 @@ func (m *Custom) checkFreeLists() error {
 				}
 			case m.addressOrdered():
 				if prev >= b && prev != heap.Nil {
-					return fail(b, "is out of address order after %#x", prev)
+					return nil, fail(b, "is out of address order after %#x", prev)
 				}
 				addrs = append(addrs, b)
 			}
 			if b == pl.rover {
 				roverListed = true
 				if pl.roverPrev != prev {
-					return fail(b, "is the rover, recorded after %#x, listed after %#x", pl.roverPrev, prev)
+					return nil, fail(b, "is the rover, recorded after %#x, listed after %#x", pl.roverPrev, prev)
 				}
 			}
 		}
 		if n != pl.count {
-			return fail(pl.head, "the list holds %d of the pool's %d blocks", n, pl.count)
+			return nil, fail(pl.head, "the list holds %d of the pool's %d blocks", n, pl.count)
 		}
 		if pl.tail != prev {
-			return fail(pl.tail, "is the recorded tail, the list ends at %#x", prev)
+			return nil, fail(pl.tail, "is the recorded tail, the list ends at %#x", prev)
 		}
 		if !slices.Equal(pl.runs, runs) || !slices.Equal(pl.addrs, addrs) {
-			return fail(pl.head, "the sorted-list index disagrees with the list")
+			return nil, fail(pl.head, "the sorted-list index disagrees with the list")
 		}
 		if !roverListed {
-			return fail(pl.rover, "is the rover but not on the list")
+			return nil, fail(pl.rover, "is the rover but not on the list")
 		}
 		if (pl.head != heap.Nil) != m.ne.Test(pl.idx) {
-			return fail(pl.head, "the nonempty bit disagrees with the list")
+			return nil, fail(pl.head, "the nonempty bit disagrees with the list")
 		}
 		n = 0
-		for b := pl.deferred; b != heap.Nil; b = m.nextFree(b) {
+		for b := pl.deferred; b != heap.Nil; b = m.V.NextFree(b) {
 			if n == pl.nDeferred {
-				return fail(b, "the deferred list runs past its count of %d", pl.nDeferred)
+				return nil, fail(b, "the deferred list runs past its count of %d", pl.nDeferred)
 			}
 			n++
 		}
 		if n != pl.nDeferred {
-			return fail(pl.deferred, "the deferred list holds %d of its %d blocks", n, pl.nDeferred)
+			return nil, fail(pl.deferred, "the deferred list holds %d of its %d blocks", n, pl.nDeferred)
 		}
 	}
-	return nil
+	return listed, nil
 }
 
 // poolError reports an inconsistency found at block b of pool pl.

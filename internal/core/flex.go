@@ -42,18 +42,16 @@ func (m *Custom) maySplit(have, want int64) bool {
 	}
 }
 
-// split carves free block b (not in any list) into a want-byte prefix and
-// a free remainder, which is binned. Returns the prefix (== b).
-func (m *Custom) split(b heap.Addr, want int64) heap.Addr {
-	have := m.V.Size(b)
+// split carves free block b of have bytes (not in any list) into a
+// want-byte prefix and a free remainder, which is binned.
+func (m *Custom) split(b heap.Addr, have, want int64) {
 	rem := b + heap.Addr(want)
 	m.V.SetHeader(b, want, false, m.prevUsedBit(b))
-	m.writeNeighborInfo(b)
+	m.writeNeighborInfo(b, want)
 	m.V.SetHeader(rem, have-want, false, true)
-	m.writeNeighborInfo(rem)
+	m.writeNeighborInfo(rem, have-want)
 	m.NoteSplit()
 	m.binFree(rem)
-	return b
 }
 
 // mayCoalesce reports whether policy D1 allows a merge producing result
@@ -115,8 +113,8 @@ func (m *Custom) coalesce(b heap.Addr) (heap.Addr, int64) {
 		return b, -1 // absorbed by top: nothing to bin
 	}
 	m.V.SetHeader(b, size, false, m.prevUsedBit(b))
-	m.writeNeighborInfo(b)
-	m.markNeighborOfFree(b, false)
+	m.writeNeighborInfo(b, size)
+	m.markNeighborOfFree(b, size, false)
 	m.Charge(mm.CostHeader)
 	return b, size
 }
@@ -155,12 +153,12 @@ func (m *Custom) prevUsedBit(b heap.Addr) bool {
 }
 
 // writeNeighborInfo maintains the backward-coalescing info for the block
-// after b: the footer of b (when free, footer layouts) and/or the
-// prev-size field of the next block (prev-size layouts).
-func (m *Custom) writeNeighborInfo(b heap.Addr) {
-	size := m.V.Size(b)
+// after b, whose header records size: the footer of b (when free, footer
+// layouts) and/or the prev-size field of the next block (prev-size
+// layouts).
+func (m *Custom) writeNeighborInfo(b heap.Addr, size int64) {
 	if m.V.L.Tags == block.TagsBoth {
-		m.V.WriteFooter(b)
+		m.V.WriteFooterSized(b, size)
 		m.Charge(mm.CostHeader)
 	}
 	next := b + heap.Addr(size)
@@ -170,13 +168,13 @@ func (m *Custom) writeNeighborInfo(b heap.Addr) {
 	}
 }
 
-// markNeighborOfFree updates the next neighbour's prevUsed bit after b
-// changes status.
-func (m *Custom) markNeighborOfFree(b heap.Addr, used bool) {
+// markNeighborOfFree updates the next neighbour's prevUsed bit after b,
+// whose header records size, changes status.
+func (m *Custom) markNeighborOfFree(b heap.Addr, size int64, used bool) {
 	if !m.hasStatus() {
 		return
 	}
-	next := b + heap.Addr(m.V.Size(b))
+	next := b + heap.Addr(size)
 	if next < m.V.H.Brk() {
 		m.V.SetPrevUsed(next, used)
 		m.Charge(mm.CostHeader)
@@ -196,7 +194,7 @@ func (m *Custom) setTop(b heap.Addr, size int64, prevUsed bool) {
 	m.top = b
 	m.V.SetHeader(b, size, false, prevUsed)
 	if m.V.L.Tags == block.TagsBoth {
-		m.V.WriteFooter(b)
+		m.V.WriteFooterSized(b, size)
 	}
 	m.Charge(mm.CostHeader)
 }
@@ -265,7 +263,7 @@ func (m *Custom) maybeTrim() {
 func (m *Custom) deferFree(b heap.Addr) {
 	gross := m.V.Size(b)
 	pl := m.poolFor(m.keyFor(m.phaseOf(b), m.floorClass(gross)))
-	m.setNextFree(b, pl.deferred)
+	m.V.SetNextFree(b, pl.deferred)
 	pl.deferred = b
 	pl.nDeferred++
 	m.Charge(mm.CostLink)
@@ -280,7 +278,7 @@ func (m *Custom) consolidate() {
 	m.snapshot = append(m.snapshot[:0], m.pools...)
 	for _, pl := range m.snapshot {
 		for b := pl.deferred; b != heap.Nil; {
-			next := m.nextFree(b)
+			next := m.V.NextFree(b)
 			m.Charge(mm.CostProbe)
 			m.V.SetUsed(b, false)
 			if merged, size := m.coalesce(b); size >= 0 {

@@ -234,3 +234,34 @@ func TestFreeListsConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckInvariantsMidTraceWithoutStatus replays the quick DRR trace
+// against a split-only vector with boundary tags that record sizes but no
+// status bit, running CheckInvariants every 500 events. Only the free
+// lists can tell such a layout's free blocks from its used ones, whose
+// footers the manager never writes.
+func TestCheckInvariantsMidTraceWithoutStatus(t *testing.T) {
+	tr := goldenVectorsTrace(t)
+	vecs := search.Sample(1, search.Fixed{
+		dspace.A3BlockTags:     dspace.HeaderFooter,
+		dspace.A4RecordedInfo:  dspace.RecordSize,
+		dspace.A5FlexBlockSize: dspace.SplitOnly,
+	})
+	if len(vecs) != 1 {
+		t.Fatalf("no valid vector in the subspace: %v", vecs)
+	}
+	forEachVector(t, tr, vecs, func(_ int, m *Custom) {
+		r := trace.NewReplayer(m, tr.Name, trace.RunOpts{})
+		const every = 500
+		for at := 0; at < len(tr.Events); at += every {
+			if err := r.Apply(tr.Events[at:min(at+every, len(tr.Events))]); err != nil {
+				t.Errorf("%v: replay: %v", m.Vector(), err)
+				return
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Errorf("%v after %d events: %v", m.Vector(), min(at+every, len(tr.Events)), err)
+				return
+			}
+		}
+	})
+}

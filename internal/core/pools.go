@@ -205,10 +205,10 @@ func (m *Custom) insertByAddress(pl *pool, b heap.Addr) {
 // linkBetween links free block b into pl between its list neighbours
 // prev and next (Nil at either end of the list).
 func (m *Custom) linkBetween(pl *pool, b, prev, next heap.Addr) {
-	m.setNextFree(b, next)
-	m.setPrevFree(b, prev)
+	m.V.SetNextFree(b, next)
+	m.V.SetPrevFree(b, prev)
 	if next != heap.Nil {
-		m.setPrevFree(next, b)
+		m.V.SetPrevFree(next, b)
 		if next == pl.rover {
 			pl.roverPrev = b
 		}
@@ -218,7 +218,7 @@ func (m *Custom) linkBetween(pl *pool, b, prev, next heap.Addr) {
 	if prev == heap.Nil {
 		pl.head = b
 	} else {
-		m.setNextFree(prev, b)
+		m.V.SetNextFree(prev, b)
 	}
 }
 
@@ -232,9 +232,9 @@ func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 		m.freeKey.Take(b)
 	}
 	m.Charge(mm.CostUnlink)
-	prev, next := sprev, m.nextFree(b)
+	prev, next := sprev, m.V.NextFree(b)
 	if m.doubleLinks() {
-		prev = m.prevFree(b)
+		prev = m.V.PrevFree(b)
 	}
 	switch b {
 	case pl.rover:
@@ -255,10 +255,10 @@ func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
 	if prev == heap.Nil {
 		pl.head = next
 	} else {
-		m.setNextFree(prev, next)
+		m.V.SetNextFree(prev, next)
 	}
 	if next != heap.Nil {
-		m.setPrevFree(next, prev)
+		m.V.SetPrevFree(next, prev)
 	} else {
 		pl.tail = prev
 	}
@@ -338,7 +338,7 @@ func (m *Custom) searchPool(pl *pool, gross int64) searchResult {
 			r = m.scanFirst(pl.head, heap.Nil, gross) // wrap around
 		}
 		if r.ok {
-			pl.rover, pl.roverPrev = m.nextFree(r.b), r.sprev
+			pl.rover, pl.roverPrev = m.V.NextFree(r.b), r.sprev
 		}
 		return r
 	case dspace.BestFit, dspace.ExactFit:
@@ -377,7 +377,7 @@ func (m *Custom) fitBySize(pl *pool, gross int64) searchResult {
 // scanning from block from, whose list predecessor is prev.
 func (m *Custom) scanFirst(from, prev heap.Addr, gross int64) searchResult {
 	probes := 0
-	for b := from; b != heap.Nil && probes < m.par.MaxProbes; b = m.nextFree(b) {
+	for b := from; b != heap.Nil && probes < m.par.MaxProbes; b = m.V.NextFree(b) {
 		m.Charge(mm.CostProbe)
 		probes++
 		if m.sizeOf(b) >= gross {
@@ -394,7 +394,7 @@ func (m *Custom) scanBest(pl *pool, gross int64) searchResult {
 	var best, bestPrev, prev heap.Addr
 	var bestSize int64
 	probes := 0
-	for b := pl.head; b != heap.Nil && probes < m.par.MaxProbes; b = m.nextFree(b) {
+	for b := pl.head; b != heap.Nil && probes < m.par.MaxProbes; b = m.V.NextFree(b) {
 		m.Charge(mm.CostProbe)
 		probes++
 		sz := m.sizeOf(b)
@@ -424,7 +424,7 @@ func (m *Custom) scanWorst(pl *pool, gross int64) searchResult {
 	var worst, worstPrev, prev heap.Addr
 	var worstSize int64
 	probes := 0
-	for b := pl.head; b != heap.Nil && probes < m.par.MaxProbes; b = m.nextFree(b) {
+	for b := pl.head; b != heap.Nil && probes < m.par.MaxProbes; b = m.V.NextFree(b) {
 		m.Charge(mm.CostProbe)
 		probes++
 		if sz := m.sizeOf(b); sz >= gross && sz > worstSize {
@@ -446,27 +446,9 @@ func (m *Custom) addressOrdered() bool {
 	return !m.sizeSorted() && m.vec.FreeOrder == dspace.AddressOrder
 }
 
-// Link-field helpers: doubly linked structures use both payload link
-// slots; singly linked ones only the forward slot. prevFree is only
-// meaningful with double links.
-
+// doubleLinks reports whether free blocks keep a back link: doubly
+// linked structures use both payload link slots, singly linked ones only
+// the forward slot.
 func (m *Custom) doubleLinks() bool {
 	return m.vec.BlockStructure != dspace.SinglyLinked
-}
-
-func (m *Custom) nextFree(b heap.Addr) heap.Addr { return m.V.NextFree(b) }
-
-func (m *Custom) setNextFree(b, to heap.Addr) { m.V.SetNextFree(b, to) }
-
-func (m *Custom) prevFree(b heap.Addr) heap.Addr {
-	if !m.doubleLinks() {
-		return heap.Nil
-	}
-	return m.V.PrevFree(b)
-}
-
-func (m *Custom) setPrevFree(b, to heap.Addr) {
-	if m.doubleLinks() {
-		m.V.SetPrevFree(b, to)
-	}
 }

@@ -25,10 +25,12 @@
 // (internal/mm's Cost* weights) for every probe, link update, header
 // write and system call, so "how long would this policy take" is modeled
 // independently of how fast the simulator itself runs. The heap's own
-// accessors (U32/PutU32 and friends) are engineered to keep simulator
-// overhead out of that measurement: a single bounds compare selects an
-// inline read/write into the sbrk arena, segment lookups hit a last-used
-// cache before binary search, and error paths live out of line. Policy
+// accessors are engineered to keep simulator overhead out of that
+// measurement: the word accessors (U32/PutU32 and friends) serve the sbrk
+// region only, where a single bounds compare selects an inline
+// read/write into the arena and a miss panics in line with the heap's
+// ErrBadAddress fault value; mapped segments are reached through Bytes,
+// whose lookups hit a last-used cache before binary search. Policy
 // outputs (footprint, live bytes, work units) are invariant under these
 // optimizations — the golden differential test pins them, including an
 // FNV checksum of every heap byte.

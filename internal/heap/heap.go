@@ -67,6 +67,8 @@ type Heap struct {
 
 	maxFootprint int64
 
+	fault wordFault // panic value of the word accessors; see wordFault
+
 	// Counters exposed through SysStats.
 	nSbrk, nShrink, nMap, nUnmap int64
 }
@@ -275,48 +277,46 @@ func badAddress(addr Addr, n int64) error {
 	return fmt.Errorf("%w: %#x (+%d)", ErrBadAddress, addr, n)
 }
 
-// U32 reads a little-endian 32-bit field at addr.
-// The single unsigned compare folds the lower and upper bound checks:
-// addr < base underflows to a value above span4.
+// U32 reads a little-endian 32-bit field at addr, which must lie in the
+// sbrk region: mapped segments are reached through Bytes. The single
+// unsigned compare folds the lower and upper bound checks: addr < base
+// underflows to a value above span4.
 func (h *Heap) U32(addr Addr) uint32 {
-	if addr-base < h.span4 {
-		return binary.LittleEndian.Uint32(h.mem[addr:])
+	if addr-base >= h.span4 {
+		h.fault.addr = addr
+		panic(&h.fault)
 	}
-	return h.u32Slow(addr)
+	return binary.LittleEndian.Uint32(h.mem[addr:])
 }
 
-//go:noinline
-func (h *Heap) u32Slow(addr Addr) uint32 {
-	m, off, err := h.locate(addr, 4)
-	if err != nil {
-		panic(err)
-	}
-	return binary.LittleEndian.Uint32(m[off:])
-}
-
-// PutU32 writes a little-endian 32-bit field at addr.
+// PutU32 writes a little-endian 32-bit field at addr in the sbrk region.
 func (h *Heap) PutU32(addr Addr, v uint32) {
-	if addr-base < h.span4 {
-		binary.LittleEndian.PutUint32(h.mem[addr:], v)
-		return
+	if addr-base >= h.span4 {
+		h.fault.addr = addr
+		panic(&h.fault)
 	}
-	h.putU32Slow(addr, v)
+	binary.LittleEndian.PutUint32(h.mem[addr:], v)
 }
 
-//go:noinline
-func (h *Heap) putU32Slow(addr Addr, v uint32) {
-	m, off, err := h.locate(addr, 4)
-	if err != nil {
-		panic(err)
-	}
-	binary.LittleEndian.PutUint32(m[off:], v)
-}
-
-// Ptr reads an in-band address field at addr.
+// Ptr reads an in-band address field at addr in the sbrk region.
 func (h *Heap) Ptr(addr Addr) Addr { return Addr(h.U32(addr)) }
 
-// PutPtr writes an in-band address field at addr.
+// PutPtr writes an in-band address field at addr in the sbrk region.
 func (h *Heap) PutPtr(addr Addr, v Addr) { h.PutU32(addr, uint32(v)) }
+
+// wordFault is the panic value of a word access outside the sbrk region.
+// The heap keeps one and the word accessors panic with a pointer to it,
+// so the failing branch builds no value and the accessors stay inline
+// and escape-free. A later fault on the same heap overwrites the address
+// it names.
+type wordFault struct{ addr Addr }
+
+func (f *wordFault) Error() string {
+	return fmt.Sprintf("%v: %#x (+4) outside the sbrk region", ErrBadAddress, f.addr)
+}
+
+// Unwrap makes errors.Is(fault, ErrBadAddress) hold.
+func (f *wordFault) Unwrap() error { return ErrBadAddress }
 
 // Bytes returns a mutable view of n bytes at addr. The view is only valid
 // until the next Sbrk/Map call.

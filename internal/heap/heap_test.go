@@ -158,8 +158,8 @@ func TestMapUnmap(t *testing.T) {
 	if got := h.SegmentSize(a); got != 12288 {
 		t.Errorf("SegmentSize = %d, want 12288 (page-rounded)", got)
 	}
-	h.PutU32(a, 7)
-	if h.U32(a) != 7 {
+	h.Bytes(a, 4)[0] = 7
+	if h.Bytes(a, 4)[0] != 7 {
 		t.Error("segment field round trip failed")
 	}
 	if h.Footprint() != 12288 {

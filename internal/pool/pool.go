@@ -26,10 +26,13 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("pool: job %d panicked: %v", e.Index, e.Value)
 }
 
-// call invokes fn(i), converting a panic into a *PanicError.
-func call(i int, fn func(i int) error) (err error) {
+// call invokes fn(i), converting a panic into a *PanicError. It sets
+// failed as soon as the panic is recovered, before the stack capture, so
+// the other workers stop taking jobs while the error is built.
+func call(i int, fn func(i int) error, failed *atomic.Bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			failed.Store(true)
 			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
 		}
 	}()
@@ -57,12 +60,13 @@ func Run(ctx context.Context, parallelism, n int, fn func(i int) error) error {
 	if parallelism > n {
 		parallelism = n
 	}
+	var failed atomic.Bool
 	if parallelism == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := call(i, fn); err != nil {
+			if err := call(i, fn, &failed); err != nil {
 				return err
 			}
 		}
@@ -71,7 +75,6 @@ func Run(ctx context.Context, parallelism, n int, fn func(i int) error) error {
 
 	var (
 		next   atomic.Int64
-		failed atomic.Bool
 		mu     sync.Mutex
 		errIdx = n
 		first  error
@@ -89,7 +92,7 @@ func Run(ctx context.Context, parallelism, n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				if err := call(i, fn); err != nil {
+				if err := call(i, fn, &failed); err != nil {
 					mu.Lock()
 					if i < errIdx {
 						errIdx, first = i, err

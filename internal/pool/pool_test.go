@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -97,11 +98,27 @@ func TestRunNilContext(t *testing.T) {
 
 func TestRunRecoversPanic(t *testing.T) {
 	for _, par := range []int{1, 8} {
-		var ran atomic.Int32
+		// In parallel, the eight workers take jobs 0-7. Job 5 panics once
+		// the other seven are running, and they hold their workers until
+		// job 5's worker has exited, by which time the pool has recorded
+		// the failure. Without that hold, the other workers could finish
+		// all 64 trivial jobs while the panic is still being recovered.
+		// Sequentially, no job waits.
+		base := runtime.NumGoroutine()
+		var ran, running atomic.Int32
 		err := Run(context.Background(), par, 64, func(i int) error {
 			ran.Add(1)
 			if i == 5 {
+				for running.Load() < int32(par-1) {
+					runtime.Gosched()
+				}
 				panic("kaboom")
+			}
+			if par > 1 {
+				running.Add(1)
+				for running.Load() < int32(par-1) || runtime.NumGoroutine() >= base+par {
+					runtime.Gosched()
+				}
 			}
 			return nil
 		})

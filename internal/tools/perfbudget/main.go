@@ -41,10 +41,11 @@ import (
 )
 
 // DefaultPkgs is the hot-path surface under budget: the simulated heap,
-// the allocator implementations, the cost model, the trace codec, and
-// the replay engine — everything on the per-event path of an
-// exploration run, plus the core config types they share.
-const DefaultPkgs = "dmmkit/internal/heap,dmmkit/internal/mm,dmmkit/internal/bitset,dmmkit/internal/alloc/...,dmmkit/internal/trace,dmmkit/internal/replay,dmmkit/internal/core"
+// the in-band block accessors, the allocator implementations, the cost
+// model, the trace codec, and the replay engine — everything on the
+// per-event path of an exploration run, plus the core config types they
+// share.
+const DefaultPkgs = "dmmkit/internal/heap,dmmkit/internal/block,dmmkit/internal/mm,dmmkit/internal/bitset,dmmkit/internal/alloc/...,dmmkit/internal/trace,dmmkit/internal/replay,dmmkit/internal/core"
 
 // DefaultBudget is the committed golden at the module root.
 const DefaultBudget = "perf_budget.json"

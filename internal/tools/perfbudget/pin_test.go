@@ -54,8 +54,8 @@ func facts(t *testing.T, inv *Inventory, pkg, fn string) *FuncFacts {
 }
 
 // TestFastPathPins pins the load-bearing fast paths: the single-compare
-// heap accessors and the allocator bin lookups must stay inlinable and
-// allocation-free, and every //dmm:hotloop annotation must still be
+// heap accessors, the in-band block accessors built on them and the
+// allocator bin lookups must stay inlinable and allocation-free, and every //dmm:hotloop annotation must still be
 // attached to its loop. A failure here means an edit silently knocked a
 // fast path off the inliner's budget or grew an escape on the per-event
 // path — fix the code (or, if the cost is deliberate, re-seed the
@@ -71,6 +71,22 @@ func TestFastPathPins(t *testing.T) {
 		}
 		if len(f.Escapes) != 0 {
 			t.Errorf("heap.%s grew escapes: %v", fn, f.Escapes)
+		}
+	}
+
+	// In-band blocks: every header, footer and free-link access of every
+	// manager goes through these, several per event. Out of line, each
+	// costs a call and a copy of the View.
+	for _, fn := range []string{"View.SetHeader", "View.Size", "View.Used", "View.SetUsed",
+		"View.PrevUsed", "View.SetPrevUsed", "View.SetPrevSize", "View.PrevSizeField",
+		"View.WriteFooterSized", "View.PrevFooterSize", "View.Next", "View.Payload", "View.Block",
+		"View.NextFree", "View.SetNextFree", "View.PrevFree", "View.SetPrevFree"} {
+		f := facts(t, inv, "dmmkit/internal/block", fn)
+		if !f.Inline {
+			t.Errorf("block.%s no longer inlines: %s", fn, f.InlineReason)
+		}
+		if len(f.Escapes) != 0 {
+			t.Errorf("block.%s grew escapes: %v", fn, f.Escapes)
 		}
 	}
 
