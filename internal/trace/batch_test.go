@@ -244,8 +244,9 @@ func TestPosOpenAt(t *testing.T) {
 }
 
 // FuzzNextBatch is the batch-path twin of FuzzDecodeBinary: over
-// arbitrary input, a NextBatch drain must agree with a Next drain on
-// verdict, event prefix and error text, at more than one buffer size.
+// arbitrary input, a NextBatch drain, at more than one buffer size, and
+// a Next drain must agree with the reference decoder on verdict, event
+// prefix and error text.
 func FuzzNextBatch(f *testing.F) {
 	for _, tr := range []*Trace{{Name: "empty"}, sampleTrace(), signedTrace(1)} {
 		var v2 bytes.Buffer
@@ -256,58 +257,32 @@ func FuzzNextBatch(f *testing.F) {
 		f.Add(v2.Bytes()[:len(v2.Bytes())/2])
 		f.Add(v2.Bytes()[:len(v2.Bytes())-1])
 	}
+	// One corrupted field each, mid-stream, with a correct checksum.
+	evs := rawEvents(sampleTrace())
+	for _, c := range []struct {
+		field int
+		b     []byte
+	}{
+		{fKind, []byte{2}},
+		{fID, bytes.Repeat([]byte{0xff}, 10)},
+		{fSize, uv(0)},
+		{fSize, uv(1 << 63)},
+		{fTag, sv(1 << 31)},
+	} {
+		bad := append([]rawEvent(nil), evs...)
+		bad[3] = bad[3].with(c.field, c.b)
+		f.Add(rawStream("sample", bad, uint64(len(bad))))
+	}
 	f.Add([]byte("DMMT2\n"))
 	f.Add([]byte("not a trace at all"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ref, openErr := DecodeBinarySource(bytes.NewReader(data))
-		var want []Event
-		var refErr error
-		if openErr == nil {
-			for {
-				e, ok, err := ref.Next()
-				if err != nil {
-					refErr = err
-					break
-				}
-				if !ok {
-					break
-				}
-				want = append(want, e)
-			}
-		}
-		for _, size := range []int{1, 8, 1024} {
-			src, err := DecodeBinarySource(bytes.NewReader(data))
-			if (err == nil) != (openErr == nil) {
-				t.Fatalf("size %d: open verdicts disagree: %v vs %v", size, err, openErr)
-			}
-			if err != nil {
-				continue
-			}
-			bs := src.(BatchSource)
-			var got []Event
-			var gotErr error
-			buf := make([]Event, size)
-			for {
-				n, err := bs.NextBatch(buf)
-				got = append(got, buf[:n]...)
-				if err != nil {
-					gotErr = err
-					break
-				}
-				if n == 0 {
-					break
-				}
-			}
-			if (gotErr == nil) != (refErr == nil) {
-				t.Fatalf("size %d: batch verdict %v, next verdict %v", size, gotErr, refErr)
-			}
-			if gotErr != nil && gotErr.Error() != refErr.Error() {
-				t.Fatalf("size %d: batch error %q, next error %q", size, gotErr, refErr)
-			}
-			if len(want) != len(got) || (len(want) > 0 && !reflect.DeepEqual(want, got)) {
-				t.Fatalf("size %d: batch decoded %d events, next loop %d", size, len(got), len(want))
+		var want decodeOutcome
+		want.name, want.events, want.err = refDecode(bytes.NewReader(data))
+		for _, size := range []int{0, 1, 8, 1024} {
+			if err := sameOutcome(decodeWith(t, bytes.NewReader(data), size), want); err != nil {
+				t.Fatalf("size %d (0: Next): %v", size, err)
 			}
 		}
 	})

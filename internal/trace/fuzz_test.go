@@ -14,8 +14,10 @@ import (
 // Properties checked on every input:
 //   - the decoders never panic and never return events with out-of-range
 //     fields (non-positive alloc sizes, negative IDs);
-//   - DecodeBinary and DecodeBinarySource agree: same accept/reject
-//     verdict, and on accept the same name and events (differential);
+//   - DecodeBinarySource and DecodeBinary agree with the reference
+//     decoder (refdecode_test.go): same accept/reject verdict, same
+//     error text after the same events, and on accept the same name and
+//     events (differential);
 //   - anything that decodes re-encodes back to the same events (round
 //     trip).
 func FuzzDecodeBinary(f *testing.F) {
@@ -42,39 +44,30 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		whole, wholeErr := DecodeBinary(bytes.NewReader(data))
-
-		var streamed []Event
-		var streamName string
-		src, streamErr := DecodeBinarySource(bytes.NewReader(data))
-		if streamErr == nil {
-			streamName = src.Name()
-			for {
-				e, ok, err := src.Next()
-				if err != nil {
-					streamErr = err
-					break
-				}
-				if !ok {
-					break
-				}
-				streamed = append(streamed, e)
-			}
+		var want decodeOutcome
+		want.name, want.events, want.err = refDecode(bytes.NewReader(data))
+		streamed := decodeWith(t, bytes.NewReader(data), 0)
+		if err := sameOutcome(streamed, want); err != nil {
+			t.Fatalf("DecodeBinarySource against the reference decoder: %v", err)
 		}
 
-		if (wholeErr == nil) != (streamErr == nil) {
-			t.Fatalf("decoder verdicts disagree: DecodeBinary err=%v, source err=%v", wholeErr, streamErr)
+		whole, wholeErr := DecodeBinary(bytes.NewReader(data))
+		if (wholeErr == nil) != (want.err == nil) {
+			t.Fatalf("decoder verdicts disagree: DecodeBinary err=%v, reference err=%v", wholeErr, want.err)
 		}
 		if wholeErr != nil {
+			if wholeErr.Error() != want.err.Error() {
+				t.Fatalf("DecodeBinary error %q, reference %q", wholeErr, want.err)
+			}
 			return
 		}
-		if whole.Name != streamName {
-			t.Fatalf("decoders accepted but disagree on the name: %q vs %q", whole.Name, streamName)
+		if whole.Name != want.name {
+			t.Fatalf("decoders accepted but disagree on the name: %q vs %q", whole.Name, want.name)
 		}
 		// DecodeBinary materializes an empty (non-nil) slice where the
 		// drain loop leaves nil; only the contents matter.
-		if len(whole.Events) != len(streamed) ||
-			(len(streamed) > 0 && !reflect.DeepEqual(whole.Events, streamed)) {
+		if len(whole.Events) != len(want.events) ||
+			(len(want.events) > 0 && !reflect.DeepEqual(whole.Events, want.events)) {
 			t.Fatal("decoders accepted but disagree on the events")
 		}
 		for i, e := range whole.Events {
