@@ -51,7 +51,7 @@ func (m *Custom) split(b heap.Addr, have, want int64) {
 	m.V.SetHeader(rem, have-want, false, true)
 	m.writeNeighborInfo(rem, have-want)
 	m.NoteSplit()
-	m.binFree(rem)
+	m.binFree(rem, have-want)
 }
 
 // mayCoalesce reports whether policy D1 allows a merge producing result
@@ -67,11 +67,10 @@ func (m *Custom) mayCoalesce(result int64) bool {
 	}
 }
 
-// coalesce merges block b (free, not in any list) with free physical
-// neighbours where policy permits, returning the merged block address and
-// size. The caller insert/returns the result.
-func (m *Custom) coalesce(b heap.Addr) (heap.Addr, int64) {
-	size := m.V.Size(b)
+// coalesce merges block b of size bytes (free, not in any list) with
+// free physical neighbours where policy permits, returning the merged
+// block address and size. The caller insert/returns the result.
+func (m *Custom) coalesce(b heap.Addr, size int64) (heap.Addr, int64) {
 	// Backward merge.
 	for {
 		prev, ok := m.prevNeighbor(b)
@@ -87,7 +86,9 @@ func (m *Custom) coalesce(b heap.Addr) (heap.Addr, int64) {
 		m.V.SetHeader(b, size, false, m.prevUsedBit(b))
 		m.NoteCoalesce()
 	}
-	// Forward merge.
+	// Forward merge. It grows b without moving it, so b's prevUsed bit
+	// holds from here on.
+	prevUsed := m.prevUsedBit(b)
 	for {
 		next := b + heap.Addr(size)
 		if next >= m.V.H.Brk() || next == m.top {
@@ -102,17 +103,17 @@ func (m *Custom) coalesce(b heap.Addr) (heap.Addr, int64) {
 		}
 		m.unlinkKnownFree(next)
 		size = merged
-		m.V.SetHeader(b, size, false, m.prevUsedBit(b))
+		m.V.SetHeader(b, size, false, prevUsed)
 		m.NoteCoalesce()
 	}
 	// Merge into the wilderness when adjacent.
 	if m.top != heap.Nil && b+heap.Addr(size) == m.top {
 		size += m.V.Size(m.top)
-		m.setTop(b, size, m.prevUsedBit(b))
+		m.setTop(b, size, prevUsed)
 		m.NoteCoalesce()
 		return b, -1 // absorbed by top: nothing to bin
 	}
-	m.V.SetHeader(b, size, false, m.prevUsedBit(b))
+	m.V.SetHeader(b, size, false, prevUsed)
 	m.writeNeighborInfo(b, size)
 	m.markNeighborOfFree(b, size, false)
 	m.Charge(mm.CostHeader)
@@ -181,9 +182,9 @@ func (m *Custom) markNeighborOfFree(b heap.Addr, size int64, used bool) {
 	}
 }
 
-// binFree inserts free block b into the pool for its size and phase.
-func (m *Custom) binFree(b heap.Addr) {
-	gross := m.sizeOf(b)
+// binFree inserts free block b, gross bytes, into the pool for its size
+// and phase.
+func (m *Custom) binFree(b heap.Addr, gross int64) {
 	k := m.keyFor(m.phaseOf(b), m.floorClass(gross))
 	m.insertFree(m.poolFor(k), b)
 }
@@ -258,10 +259,9 @@ func (m *Custom) maybeTrim() {
 	m.setTop(m.top, size-release, m.prevUsedBit(m.top))
 }
 
-// deferFree pushes b onto its pool's deferred list (used bit kept set so
-// neighbours skip it until consolidation).
-func (m *Custom) deferFree(b heap.Addr) {
-	gross := m.V.Size(b)
+// deferFree pushes b, gross bytes, onto its pool's deferred list (used
+// bit kept set so neighbours skip it until consolidation).
+func (m *Custom) deferFree(b heap.Addr, gross int64) {
 	pl := m.poolFor(m.keyFor(m.phaseOf(b), m.floorClass(gross)))
 	m.V.SetNextFree(b, pl.deferred)
 	pl.deferred = b
@@ -281,8 +281,8 @@ func (m *Custom) consolidate() {
 			next := m.V.NextFree(b)
 			m.Charge(mm.CostProbe)
 			m.V.SetUsed(b, false)
-			if merged, size := m.coalesce(b); size >= 0 {
-				m.binFree(merged)
+			if merged, size := m.coalesce(b, m.V.Size(b)); size >= 0 {
+				m.binFree(merged, size)
 			}
 			b = next
 		}

@@ -380,7 +380,11 @@ func (m *Custom) scanFirst(from, prev heap.Addr, gross int64) searchResult {
 	for b := from; b != heap.Nil && probes < m.par.MaxProbes; b = m.V.NextFree(b) {
 		m.Charge(mm.CostProbe)
 		probes++
-		if m.sizeOf(b) >= gross {
+		sz, ok := m.headerSize(b)
+		if !ok {
+			sz = m.untaggedSize(b)
+		}
+		if sz >= gross {
 			return searchResult{b: b, sprev: prev, ok: true}
 		}
 		prev = b
@@ -397,7 +401,10 @@ func (m *Custom) scanBest(pl *pool, gross int64) searchResult {
 	for b := pl.head; b != heap.Nil && probes < m.par.MaxProbes; b = m.V.NextFree(b) {
 		m.Charge(mm.CostProbe)
 		probes++
-		sz := m.sizeOf(b)
+		sz, ok := m.headerSize(b)
+		if !ok {
+			sz = m.untaggedSize(b)
+		}
 		if sz == gross {
 			return searchResult{b: b, sprev: prev, ok: true}
 		}
@@ -427,7 +434,11 @@ func (m *Custom) scanWorst(pl *pool, gross int64) searchResult {
 	for b := pl.head; b != heap.Nil && probes < m.par.MaxProbes; b = m.V.NextFree(b) {
 		m.Charge(mm.CostProbe)
 		probes++
-		if sz := m.sizeOf(b); sz >= gross && sz > worstSize {
+		sz, ok := m.headerSize(b)
+		if !ok {
+			sz = m.untaggedSize(b)
+		}
+		if sz >= gross && sz > worstSize {
 			worst, worstPrev, worstSize = b, prev, sz
 		}
 		prev = b

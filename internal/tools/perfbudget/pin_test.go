@@ -137,11 +137,35 @@ func TestFastPathPins(t *testing.T) {
 		}
 	}
 
+	// The DMMT2 decoder's one per-event pass: the one-byte varint reader
+	// and the zigzag map must inline into it, so a field costs no call.
+	// Out of line, the per-field calls were a quarter of a streamed
+	// replay's CPU.
+	inlined := inlinedInto(t, "dmmkit/internal/trace", "(*binarySource).decode")
+	for _, fn := range []string{"byteVarint", "unzigzag"} {
+		if !inlined[fn] {
+			t.Errorf("trace.%s is no longer inlined into (*binarySource).decode: %s",
+				fn, facts(t, inv, "dmmkit/internal/trace", fn).InlineReason)
+		}
+	}
+
+	// core.Custom's fit probes: every probe of a tagged manager reads a
+	// block's size from its header, so the read must inline into each
+	// scan. sizeOf itself cannot inline (its untagged lookup is a call,
+	// and a call alone costs 57 of the inliner's 80).
+	for _, scan := range []string{"(*Custom).scanFirst", "(*Custom).scanBest",
+		"(*Custom).scanWorst", "(*Custom).popDeferredExact"} {
+		if !inlinedInto(t, "dmmkit/internal/core", scan)["(*Custom).headerSize"] {
+			t.Errorf("core.(*Custom).headerSize is no longer inlined into %s: %s",
+				scan, facts(t, inv, "dmmkit/internal/core", "(*Custom).headerSize").InlineReason)
+		}
+	}
+
 	// The replay kernel's live table: the dense form's set and take must
 	// inline into the kernel, with only the hashed form called out of
 	// line. A prototype that called them lost 5-12% of Table 1 replay
 	// throughput.
-	inlined := inlinedInto(t, "dmmkit/internal/trace", "(*Replayer).Apply")
+	inlined = inlinedInto(t, "dmmkit/internal/trace", "(*Replayer).Apply")
 	for _, fn := range []string{"(*liveTable).set", "(*liveTable).take"} {
 		if !inlined[fn] {
 			t.Errorf("trace.%s is no longer inlined into (*Replayer).Apply: %s",

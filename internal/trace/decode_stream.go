@@ -96,8 +96,8 @@ const batchWindow = 64 << 10
 
 // maxEventLen is the worst-case encoded size of one DMMT2 event: the
 // kind byte plus five maximal varints. When at least this many bytes
-// are windowed, a full event decodes without any length checks beyond
-// the varint decoders' own.
+// are windowed, a full event decodes without a refill, and a varint
+// that runs off the window's end is one that runs off the stream's.
 const maxEventLen = 1 + 5*binary.MaxVarintLen64
 
 var errVarintOverflow = errors.New("trace: varint overflows 64 bits")
@@ -107,9 +107,9 @@ var errVarintOverflow = errors.New("trace: varint overflows 64 bits")
 // must match what was decoded (truncation check), and the CRC-32C of
 // every preceding byte (corruption check).
 //
-// It decodes from a block-buffered window — varints are read with
-// binary.Uvarint over the byte slice, and the running CRC-32C is folded
-// over consumed ranges chunk-at-a-time on refill — instead of paying an
+// It decodes from a block-buffered window — each event in one in-line
+// pass over the byte slice (decode), and the running CRC-32C folded over
+// consumed ranges chunk-at-a-time on refill — instead of paying an
 // interface call and a one-byte hash update per byte. The window makes
 // it a natural BatchSource; Next decodes one event from the same window
 // for consumers that need the one-event form.
@@ -194,114 +194,188 @@ func (s *binarySource) fill(need int) {
 	}
 }
 
-// uvarint decodes an unsigned varint at the window position. The caller
-// has ensured the window holds a full event or the final bytes of the
-// stream, so running out of bytes means truncation (or a pending read
-// error).
-func (s *binarySource) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(s.buf[s.pos:s.lim])
-	if n > 0 {
-		s.pos += n
-		return v, nil
+// byteVarint reads the one-byte uvarint at the head of b, the encoding
+// of most fields of most events: n is 1, or 0 when b is empty or the
+// value is longer. It makes no call, so it inlines into decode; a longer
+// value falls through to binary.Uvarint.
+func byteVarint(b []byte) (v uint64, n int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
 	}
-	if n < 0 {
-		return 0, errVarintOverflow
-	}
-	if s.pend != nil {
-		return 0, s.pend
-	}
-	return 0, io.ErrUnexpectedEOF
+	return 0, 0
 }
 
-// varint is uvarint for the zigzag-encoded signed fields.
-func (s *binarySource) varint() (int64, error) {
-	v, n := binary.Varint(s.buf[s.pos:s.lim])
-	if n > 0 {
-		s.pos += n
-		return v, nil
-	}
-	if n < 0 {
-		return 0, errVarintOverflow
-	}
-	if s.pend != nil {
-		return 0, s.pend
-	}
-	return 0, io.ErrUnexpectedEOF
-}
+// unzigzag maps a zigzag-encoded uvarint back to its signed value, as
+// binary.Varint does.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// step decodes one event into e. ok false with a nil error is the clean
-// end of the stream (trailer count and checksum verified); ok false
-// with an error is terminal. The caller latches the terminal state.
-func (s *binarySource) step(e *Event) (ok bool, err error) {
+// decode decodes the event at the head of the window into e, refilling
+// the window first when it holds less than one worst-case event. ok
+// false with a nil error is the clean end of the stream (trailer count
+// and checksum verified); ok false with an error is terminal, and the
+// caller latches it.
+//
+// It is the decoder's one per-event pass, shared by Next and NextBatch.
+// Every varint is read in line, the one-byte case first and then
+// binary.Uvarint (which inlines too), and every field is range-checked
+// in line, in field order, so the first bad field names the error; only
+// the window refill and the error builders are calls. Since the window
+// holds a whole event or the stream's last bytes, a varint that runs off
+// its end (n == 0) is truncation, or a pending read error.
+func (s *binarySource) decode(e *Event) (ok bool, err error) {
 	if s.lim-s.pos < maxEventLen && !s.eof && s.pend == nil {
 		s.fill(maxEventLen)
 	}
-	if s.pos == s.lim {
-		if s.pend != nil {
-			return false, fmt.Errorf("trace: event %d: %w", s.i, s.pend)
+	b := s.buf[s.pos:s.lim]
+	if len(b) == 0 {
+		return false, s.endErr()
+	}
+	kind := Kind(b[0])
+	if kind > KindFree {
+		if b[0] == endMarker {
+			s.pos++
+			return false, s.trailer()
 		}
-		return false, fmt.Errorf("trace: event %d: truncated stream (missing end marker): %w", s.i, io.ErrUnexpectedEOF)
+		return false, s.kindErr(b[0])
 	}
-	kb := s.buf[s.pos]
-	if kb == endMarker {
-		s.pos++
-		return false, s.trailer()
+	id, n := byteVarint(b[1:])
+	if n == 0 {
+		id, n = binary.Uvarint(b[1:])
 	}
-	// dst buffers are reused across batches: rebuild the event from
-	// scratch so a free never carries a previous event's Size or Tag.
-	*e = Event{Kind: Kind(kb)}
-	if e.Kind != KindAlloc && e.Kind != KindFree {
-		return false, fmt.Errorf("trace: event %d: bad kind %d", s.i, kb)
+	if n <= 0 {
+		return false, s.varintErr(n)
 	}
-	s.pos++
-	id, err := s.uvarint()
-	if err != nil {
-		return false, err
+	i := 1 + n
+	if int64(id) < 0 {
+		return false, s.idErr(id)
 	}
-	if e.ID, err = checkID(s.i, id); err != nil {
-		return false, err
-	}
-	if e.Kind == KindAlloc {
-		size, err := s.uvarint()
-		if err != nil {
-			return false, err
+	var size, u uint64
+	var tag int64
+	if kind == KindAlloc {
+		size, n = byteVarint(b[i:])
+		if n == 0 {
+			size, n = binary.Uvarint(b[i:])
 		}
-		if e.Size, err = checkSize(s.i, size); err != nil {
-			return false, err
+		if n <= 0 {
+			return false, s.varintErr(n)
 		}
-		tag, err := s.varint()
-		if err != nil {
-			return false, err
+		i += n
+		if size-1 >= math.MaxInt64 { // 0, or wraps negative
+			return false, s.sizeErr(size)
 		}
-		if e.Tag, err = checkInt32(s.i, "tag", tag); err != nil {
-			return false, err
+		u, n = byteVarint(b[i:])
+		if n == 0 {
+			u, n = binary.Uvarint(b[i:])
+		}
+		if n <= 0 {
+			return false, s.varintErr(n)
+		}
+		i += n
+		if tag = unzigzag(u); tag != int64(int32(tag)) {
+			return false, s.int32Err("tag", tag)
 		}
 	}
-	phase, err := s.varint()
-	if err != nil {
-		return false, err
+	u, n = byteVarint(b[i:])
+	if n == 0 {
+		u, n = binary.Uvarint(b[i:])
 	}
-	if e.Phase, err = checkInt32(s.i, "phase", phase); err != nil {
-		return false, err
+	if n <= 0 {
+		return false, s.varintErr(n)
 	}
-	dt, err := s.varint()
-	if err != nil {
-		return false, err
+	i += n
+	phase := unzigzag(u)
+	if phase != int64(int32(phase)) {
+		return false, s.int32Err("phase", phase)
 	}
-	e.Tick = s.last + dt
-	s.last = e.Tick
+	u, n = byteVarint(b[i:])
+	if n == 0 {
+		u, n = binary.Uvarint(b[i:])
+	}
+	if n <= 0 {
+		return false, s.varintErr(n)
+	}
+	// dst buffers are reused across batches: every field is stored, so a
+	// free never carries a previous event's Size or Tag. Field by field,
+	// not as one composite literal, which the compiler builds on the
+	// stack and copies out through a partial-store-forwarding stall.
+	tick := s.last + unzigzag(u)
+	e.Kind, e.ID, e.Size, e.Tag, e.Phase, e.Tick = kind, int64(id), int64(size), int32(tag), int32(phase), tick
+	s.last = tick
+	s.pos += i + n
 	s.i++
 	return true, nil
+}
+
+// The error builders stay out of line so their formatting never weighs
+// on decode.
+
+// endErr is the error for a window that ran dry before the end marker.
+//
+//go:noinline
+func (s *binarySource) endErr() error {
+	if s.pend != nil {
+		return fmt.Errorf("trace: event %d: %w", s.i, s.pend)
+	}
+	return fmt.Errorf("trace: event %d: truncated stream (missing end marker): %w", s.i, io.ErrUnexpectedEOF)
+}
+
+// varintErr is the error for a varint that failed with length n:
+// overflow when negative, otherwise the window ran out mid-event.
+func (s *binarySource) varintErr(n int) error {
+	if n < 0 {
+		return errVarintOverflow
+	}
+	if s.pend != nil {
+		return s.pend
+	}
+	return io.ErrUnexpectedEOF
+}
+
+// kindErr is the error for a kind byte that is neither an event kind
+// nor the end marker.
+//
+//go:noinline
+func (s *binarySource) kindErr(kb byte) error {
+	return fmt.Errorf("trace: event %d: bad kind %d", s.i, kb)
+}
+
+// idErr is the error for an ID above MaxInt64, which would wrap to a
+// negative Event.ID.
+//
+//go:noinline
+func (s *binarySource) idErr(v uint64) error {
+	return fmt.Errorf("trace: event %d: id %d overflows int64", s.i, v)
+}
+
+// sizeErr is the error for an allocation size outside [1, MaxInt64]:
+// larger sizes would wrap negative, and zero-size allocations are
+// invalid in any trace (Validate rejects them), so a streaming replay
+// can trust decoded events.
+//
+//go:noinline
+func (s *binarySource) sizeErr(v uint64) error {
+	if v == 0 {
+		return fmt.Errorf("trace: event %d: alloc size 0", s.i)
+	}
+	return fmt.Errorf("trace: event %d: size %d overflows int64", s.i, v)
+}
+
+// int32Err is the error for a tag or phase outside int32.
+//
+//go:noinline
+func (s *binarySource) int32Err(field string, v int64) error {
+	return fmt.Errorf("trace: event %d: %s %d overflows int32", s.i, field, v)
 }
 
 // trailer verifies the end of the stream: the event count must match
 // what was decoded, and the CRC-32C (which covers every byte before it
 // and never hashes itself) must match the running checksum.
 func (s *binarySource) trailer() error {
-	count, err := s.uvarint()
-	if err != nil {
-		return fmt.Errorf("trace: reading trailer count: %w", err)
+	count, n := binary.Uvarint(s.buf[s.pos:s.lim])
+	if n <= 0 {
+		return fmt.Errorf("trace: reading trailer count: %w", s.varintErr(n))
 	}
+	s.pos += n
 	if count != s.i {
 		return fmt.Errorf("trace: trailer count %d, decoded %d events (truncated or corrupt stream)", count, s.i)
 	}
@@ -333,7 +407,7 @@ func (s *binarySource) Next() (Event, bool, error) {
 		return Event{}, false, s.err
 	}
 	var e Event
-	ok, err := s.step(&e)
+	ok, err := s.decode(&e)
 	if !ok {
 		return s.finish(err)
 	}
@@ -341,8 +415,9 @@ func (s *binarySource) Next() (Event, bool, error) {
 }
 
 // NextBatch implements BatchSource: it decodes events straight out of
-// the read window into dst. Events decoded before a terminal error are
-// returned alongside it.
+// the read window into dst, refilling the window whenever less than one
+// worst-case event is left in it. Events decoded before a terminal error
+// are returned alongside it.
 func (s *binarySource) NextBatch(dst []Event) (int, error) {
 	if s.done {
 		return 0, s.err
@@ -350,7 +425,7 @@ func (s *binarySource) NextBatch(dst []Event) (int, error) {
 	n := 0
 	//dmm:hotloop
 	for n < len(dst) {
-		ok, err := s.step(&dst[n])
+		ok, err := s.decode(&dst[n])
 		if !ok {
 			_, _, _ = s.finish(err)
 			return n, s.err
@@ -364,14 +439,6 @@ func (s *binarySource) NextBatch(dst []Event) (int, error) {
 // the next undecoded event.
 func (s *binarySource) Pos() Pos {
 	return Pos{Off: s.off + int64(s.pos), Index: s.i, Tick: s.last}
-}
-
-// checkInt32 range-checks a zigzag-decoded int32 field.
-func checkInt32(i uint64, field string, v int64) (int32, error) {
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("trace: event %d: %s %d overflows int32", i, field, v)
-	}
-	return int32(v), nil
 }
 
 // File is an Opener over an on-disk DMMT2 trace: every Open starts an

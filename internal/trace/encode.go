@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"hash/crc32"
 	"io"
 )
@@ -49,26 +48,4 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 		}
 		t.Events = append(t.Events, e)
 	}
-}
-
-// checkID validates a decoded ID uvarint: values above MaxInt64 would
-// silently wrap to a negative Event.ID.
-func checkID(i uint64, v uint64) (int64, error) {
-	if v > 1<<63-1 {
-		return 0, fmt.Errorf("trace: event %d: id %d overflows int64", i, v)
-	}
-	return int64(v), nil
-}
-
-// checkSize validates a decoded Size uvarint: values above MaxInt64 wrap
-// negative, and zero-size allocations are invalid in any trace (Validate
-// rejects them), so a streaming replay can trust decoded events.
-func checkSize(i uint64, v uint64) (int64, error) {
-	if v > 1<<63-1 {
-		return 0, fmt.Errorf("trace: event %d: size %d overflows int64", i, v)
-	}
-	if v == 0 {
-		return 0, fmt.Errorf("trace: event %d: alloc size 0", i)
-	}
-	return int64(v), nil
 }

@@ -203,10 +203,10 @@ type decodeOutcome struct {
 // the events themselves must all match.
 func sameOutcome(got, want decodeOutcome) error {
 	if (got.err == nil) != (want.err == nil) {
-		return fmt.Errorf("verdict: err %v, reference err %v", got.err, want.err)
+		return fmt.Errorf("verdict: err %s, reference err %s", errText(got.err), errText(want.err))
 	}
 	if got.err != nil && got.err.Error() != want.err.Error() {
-		return fmt.Errorf("error %q, reference %q", got.err, want.err)
+		return fmt.Errorf("error %q, reference %q", got.err.Error(), want.err.Error())
 	}
 	if got.name != want.name {
 		return fmt.Errorf("name %q, reference %q", got.name, want.name)
@@ -224,8 +224,16 @@ func sameOutcome(got, want decodeOutcome) error {
 	return nil
 }
 
-// decodeWith drains a fresh decoder over mk's reader: through Next when
-// batch is 0, through NextBatch with a batch-sized buffer otherwise.
+// errText is err's message, or "<nil>".
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// decodeWith drains a fresh decoder over r: through Next when batch is
+// 0, through NextBatch with a batch-sized buffer otherwise.
 func decodeWith(t *testing.T, r io.Reader, batch int) decodeOutcome {
 	t.Helper()
 	src, err := DecodeBinarySource(r)
