@@ -361,6 +361,13 @@ func TestDecodeMatchesReference(t *testing.T) {
 	if len(valid) < 2*batchWindow {
 		t.Fatalf("stream is %d bytes, want more than two %d-byte windows", len(valid), batchWindow)
 	}
+	var enc bytes.Buffer
+	if err := tr.EncodeBinary2(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc.Bytes(), valid) {
+		t.Fatal("rawStream's encoding differs from the Encoder's")
+	}
 
 	type input struct {
 		name string
