@@ -466,9 +466,10 @@ func TestSizeSortedStructureKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestDesignSpaceSweep torture-tests a deterministic sample of the valid
-// design space: every sampled vector must behave as a correct allocator.
-func TestDesignSpaceSweep(t *testing.T) {
+// TestDesignSpaceSample torture-tests a deterministic sample of the valid
+// design space with random requests: every sampled vector must behave as
+// a correct allocator.
+func TestDesignSpaceSample(t *testing.T) {
 	var vectors []dspace.Vector
 	i := 0
 	dspace.Enumerate(func(v dspace.Vector) bool {
