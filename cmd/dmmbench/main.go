@@ -18,7 +18,6 @@
 //	dmmbench -exp evo               # fig-evo: GA vs exhaustive search
 //	dmmbench -exp pareto            # fig-pareto: NSGA front vs exhaustive subspace front
 //	dmmbench -exp stream            # out-of-core streaming replay measurement
-//	dmmbench -exp shard             # phase-sharded parallel replay measurement
 //	dmmbench -exp all -seeds 10
 //	dmmbench -exp bench -json BENCH_table1.json   # machine-readable perf baseline
 package main
@@ -35,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, figure5, perf, order, static, evo, pareto, fits, stream, shard, bench, all")
+		exp      = flag.String("exp", "all", "experiment: table1, figure5, perf, order, static, evo, pareto, fits, stream, bench, all")
 		seeds    = flag.Int("seeds", 10, "traces per case study (the paper averages 10)")
 		quick    = flag.Bool("quick", false, "smaller workloads (for smoke runs)")
 		parallel = flag.Int("parallel", 0, "concurrent cells (0 = GOMAXPROCS, 1 = sequential)")
@@ -144,20 +143,6 @@ func main() {
 		}
 		if err := experiments.WriteStream(os.Stdout, sr); err != nil {
 			fmt.Fprintf(os.Stderr, "dmmbench: stream: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The shard experiment replays the same netsim-scale trace, so it too
-	// only runs when asked for by name.
-	if *exp == "shard" {
-		fmt.Println("== shard ==")
-		sr, err := experiments.RunShard(ctx, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmmbench: shard: %v\n", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteShard(os.Stdout, sr); err != nil {
-			fmt.Fprintf(os.Stderr, "dmmbench: shard: %v\n", err)
 			os.Exit(1)
 		}
 	}

@@ -152,16 +152,7 @@ func (m *Manager) FreeBlocks(c int) int {
 	return n
 }
 
-// CloneManager implements mm.Cloner. The free-list heads and bin
-// bitmap are plain values, so only the base needs a deep copy.
-func (m *Manager) CloneManager() (mm.Manager, error) {
-	n := *m
-	n.Base = m.CloneBase()
-	return &n, nil
-}
-
 var (
 	_ mm.Manager     = (*Manager)(nil)
-	_ mm.Cloner      = (*Manager)(nil)
 	_ mm.Checksummer = (*Manager)(nil)
 )

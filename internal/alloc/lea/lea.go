@@ -527,16 +527,7 @@ func (m *Manager) CheckInvariants() error {
 	return nil
 }
 
-// CloneManager implements mm.Cloner. The bins, bitmaps and config are
-// plain values, so only the base needs a deep copy.
-func (m *Manager) CloneManager() (mm.Manager, error) {
-	n := *m
-	n.Base = m.CloneBase()
-	return &n, nil
-}
-
 var (
 	_ mm.Manager     = (*Manager)(nil)
-	_ mm.Cloner      = (*Manager)(nil)
 	_ mm.Checksummer = (*Manager)(nil)
 )

@@ -167,18 +167,7 @@ func (m *Manager) DeadBytes() int64 {
 // Depth returns the current object-stack depth (live + deferred dead).
 func (m *Manager) Depth() int { return len(m.objs) }
 
-// CloneManager implements mm.Cloner. Chunks and objects are value
-// types, so copying the slices suffices.
-func (m *Manager) CloneManager() (mm.Manager, error) {
-	n := *m
-	n.Base = m.CloneBase()
-	n.chunks = append([]chunk(nil), m.chunks...)
-	n.objs = append([]object(nil), m.objs...)
-	return &n, nil
-}
-
 var (
 	_ mm.Manager     = (*Manager)(nil)
-	_ mm.Cloner      = (*Manager)(nil)
 	_ mm.Checksummer = (*Manager)(nil)
 )

@@ -174,25 +174,7 @@ func (m *Manager) RegionBlockSize(tag int) int64 {
 	return 0
 }
 
-// CloneManager implements mm.Cloner. The per-tag region states are
-// copied; the Sizer is shared, which is safe because sizing policies are
-// pure functions of their arguments (ProfileSizer closes over a profile
-// it only reads).
-func (m *Manager) CloneManager() (mm.Manager, error) {
-	n := *m
-	n.Base = m.CloneBase()
-	if m.regions != nil {
-		n.regions = make(map[int]*regionState, len(m.regions))
-		for k, r := range m.regions {
-			cr := *r
-			n.regions[k] = &cr
-		}
-	}
-	return &n, nil
-}
-
 var (
 	_ mm.Manager     = (*Manager)(nil)
-	_ mm.Cloner      = (*Manager)(nil)
 	_ mm.Checksummer = (*Manager)(nil)
 )

@@ -49,7 +49,7 @@ func Run(t *testing.T, f Factory, opts Options) {
 	t.Run("StatsInvariants", func(t *testing.T) { testStats(t, f(), opts) })
 	t.Run("Torture", func(t *testing.T) { testTorture(t, f(), opts, 1) })
 	t.Run("TortureSeed2", func(t *testing.T) { testTorture(t, f(), opts, 2) })
-	t.Run("Contract", func(t *testing.T) { testContract(t, f, opts) })
+	t.Run("Contract", func(t *testing.T) { testContract(t, f(), opts) })
 }
 
 func testBasic(t *testing.T, m mm.Manager) {
@@ -266,8 +266,7 @@ func testTorture(t *testing.T, m mm.Manager, opts Options, seed int64) {
 	}
 }
 
-// observed is the manager state a failed call must leave untouched and a
-// clone must reproduce.
+// observed is the manager state a failed call must leave untouched.
 type observed struct {
 	stats         mm.Stats
 	foot, maxFoot int64
@@ -283,10 +282,11 @@ func observe(m mm.Manager) observed {
 }
 
 // churn runs n seeded random allocations and frees against m, freeing
-// only addresses in live, and returns the updated live set.
-func churn(t *testing.T, m mm.Manager, live []heap.Addr, seed int64, n int, opts Options) []heap.Addr {
+// only addresses it allocated.
+func churn(t *testing.T, m mm.Manager, seed int64, n int, opts Options) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	var live []heap.Addr
 	for i := 0; i < n; i++ {
 		if len(live) == 0 || rng.Intn(100) < 55 {
 			size := rng.Int63n(opts.MaxSize) + 1
@@ -306,17 +306,14 @@ func churn(t *testing.T, m mm.Manager, live []heap.Addr, seed int64, n int, opts
 		}
 		live = append(live[:j], live[j+1:]...)
 	}
-	return live
 }
 
-// testContract checks the two properties replay relies on beyond the
-// allocator contract itself: a failing call is counted once and changes
-// nothing else, and a clone evolves exactly like its original without
-// sharing any state with it.
-func testContract(t *testing.T, f Factory, opts Options) {
+// testContract checks the property replay relies on beyond the allocator
+// contract itself: after some churn, a failing call is counted once and
+// changes nothing else.
+func testContract(t *testing.T, m mm.Manager, opts Options) {
 	t.Helper()
-	m := f()
-	live := churn(t, m, nil, 11, 200, opts)
+	churn(t, m, 11, 200, opts)
 	type failing struct {
 		name string
 		call func() error
@@ -350,27 +347,6 @@ func testContract(t *testing.T, f Factory, opts Options) {
 		if after != before {
 			t.Errorf("%s changed state beyond FailedOps:\n before %+v\n after  %+v", fc.name, before, after)
 		}
-	}
-
-	c, ok := m.(mm.Cloner)
-	if !ok {
-		return
-	}
-	cm, err := c.CloneManager()
-	if err != nil {
-		t.Fatalf("CloneManager: %v", err)
-	}
-	churn(t, m, append([]heap.Addr(nil), live...), 12, 300, opts)
-	churn(t, cm, live, 12, 300, opts)
-	orig := observe(m)
-	if got := observe(cm); got != orig {
-		t.Fatalf("clone diverged from its original over the same suffix:\n original %+v\n clone    %+v", orig, got)
-	}
-	if _, err := cm.Alloc(mm.Request{Size: 100}); err != nil {
-		t.Fatalf("Alloc on clone: %v", err)
-	}
-	if got := observe(m); got != orig {
-		t.Errorf("Alloc on the clone changed the original:\n before %+v\n after  %+v", orig, got)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // exported stream-consuming entry points must be cancellable. The
 // server tree is included because its job streams outlive any single
 // request only as long as a client context keeps them cancellable.
-const EnginePkgs = "dmmkit/internal/core,dmmkit/internal/trace,dmmkit/internal/replay,dmmkit/internal/server/..."
+const EnginePkgs = "dmmkit/internal/core,dmmkit/internal/trace,dmmkit/internal/server/..."
 
 // CtxFlow enforces the cancellation contract on engine entry points: in
 // the engine packages, an exported function or method that consumes a

@@ -22,7 +22,6 @@ const DetPkgs = "dmmkit/internal/core," +
 	"dmmkit/internal/heap," +
 	"dmmkit/internal/dspace," +
 	"dmmkit/internal/checkpoint," +
-	"dmmkit/internal/replay," +
 	"dmmkit/internal/workloads/..."
 
 // Detrand forbids nondeterminism sources in deterministic packages:

@@ -7,15 +7,6 @@ type Set struct {
 	w []uint64
 }
 
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() Set {
-	var c Set
-	if len(s.w) > 0 {
-		c.w = append([]uint64(nil), s.w...)
-	}
-	return c
-}
-
 // ensure grows the word slice so bit i is addressable.
 func (s *Set) ensure(i int) {
 	for len(s.w) <= i/64 {

@@ -28,8 +28,8 @@ type Custom struct {
 	byID  []*pool    // indexed by pool id: creation order
 	ne    bitset.Set // bit per keys position, set iff that pool's head != Nil
 
-	snapshot []*pool // consolidate's copy of pools; never shared by a clone
-	lastPool *pool   // the pool poolFor found last; never shared by a clone
+	snapshot []*pool // consolidate's copy of pools
+	lastPool *pool   // the pool poolFor found last
 
 	top       heap.Addr // wilderness chunk (tagged variable managers)
 	heapStart heap.Addr
@@ -735,4 +735,7 @@ func (m *Custom) poolError(pl *pool, b heap.Addr, problem string) error {
 	return fmt.Errorf("core: %s: pool (phase %d, class %d), block %#x: %s", m.name, k.phase, k.class, b, problem)
 }
 
-var _ mm.Manager = (*Custom)(nil)
+var (
+	_ mm.Manager     = (*Custom)(nil)
+	_ mm.Checksummer = (*Custom)(nil)
+)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"dmmkit/internal/heap"
@@ -208,4 +210,40 @@ func (g *Global) Atomic(phase int) mm.Manager {
 // Phases returns the phases with dedicated atomic managers, ascending.
 func (g *Global) Phases() []int { return append([]int(nil), g.order...) }
 
-var _ mm.Manager = (*Global)(nil)
+var (
+	_ mm.Manager     = (*Global)(nil)
+	_ mm.Checksummer = (*Global)(nil)
+)
+
+// StateChecksum implements mm.Checksummer: the per-phase managers'
+// checksums in phase order, then every handle slot (its manager named by
+// phase, not pointer) and the free slot stack, which decides the handles
+// handed out next.
+func (g *Global) StateChecksum() uint64 {
+	sum := fnv.New64a()
+	var scratch [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(scratch[:], v)
+		sum.Write(scratch[:])
+	}
+	for i, ph := range g.order {
+		word(uint64(int64(ph)))
+		if cs, ok := g.mgrs[i].(mm.Checksummer); ok {
+			word(cs.StateChecksum())
+		}
+	}
+	word(uint64(len(g.slots)))
+	for _, s := range g.slots {
+		if s.mgr < 0 {
+			word(^uint64(0))
+			continue
+		}
+		word(uint64(int64(g.order[s.mgr])))
+		word(uint64(s.real))
+	}
+	for _, s := range g.free {
+		word(uint64(s))
+	}
+	word(uint64(g.failed))
+	return sum.Sum64()
+}

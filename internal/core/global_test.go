@@ -156,53 +156,6 @@ func TestGlobalSlotReuse(t *testing.T) {
 	}
 }
 
-// TestGlobalCloneIndependent checks that a clone agrees with its original
-// on StateChecksum, routes to its own atomic managers, and that neither
-// observes the other's handle-table mutations.
-func TestGlobalCloneIndependent(t *testing.T) {
-	g, m0, _ := newTwoPhaseGlobal(t)
-	a := mustAlloc(t, g, 100, 0)
-	b := mustAlloc(t, g, 100, 1)
-	freed := mustAlloc(t, g, 100, 0)
-	if err := g.Free(freed); err != nil {
-		t.Fatal(err)
-	}
-	cm, err := g.CloneManager()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cm.(*Global)
-	if c.StateChecksum() != g.StateChecksum() {
-		t.Fatal("StateChecksum(clone) != StateChecksum(original)")
-	}
-
-	frees0 := m0.Stats().Frees
-	if err := c.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	if m0.Stats().Frees != frees0 {
-		t.Error("freeing through the clone reached the original's manager")
-	}
-	if c.StateChecksum() == g.StateChecksum() {
-		t.Error("checksums agree after the clone freed a handle")
-	}
-	if err := g.Free(a); err != nil {
-		t.Fatalf("original lost handle %#x the clone freed: %v", a, err)
-	}
-	if err := c.Free(a); !errors.Is(err, mm.ErrBadFree) {
-		t.Errorf("clone double free = %v, want ErrBadFree", err)
-	}
-	// Both reuse their own free slot stacks: the same next handle.
-	if ha, hc := mustAlloc(t, g, 8, 1), mustAlloc(t, c, 8, 1); ha != hc {
-		t.Errorf("next handles diverged: original %#x, clone %#x", ha, hc)
-	}
-	for _, m := range []*Global{g, c} {
-		if err := m.Free(b); err != nil {
-			t.Fatalf("%p: Free(b): %v", m, err)
-		}
-	}
-}
-
 // TestCoalescingFindsEveryPoolRecord replays a trace against every
 // coalescing vector of a design-space sample: on a consistent heap every
 // free neighbour a merge absorbs has a recorded pool, so the invariant

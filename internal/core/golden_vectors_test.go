@@ -164,50 +164,6 @@ func TestGoldenVectors(t *testing.T) {
 	}
 }
 
-// TestGoldenVectorsSurviveClone forks every fourth vector's replay at
-// the middle of the trace — a manager clone plus the live table, as
-// sharded replay does — and finishes the trace on the original and then
-// on the fork. Both must land on the vector's golden cell: a clone that
-// shared a pool, a side table or the shadow with its original would not.
-func TestGoldenVectorsSurviveClone(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replays ~50 vectors twice")
-	}
-	tr := goldenVectorsTrace(t)
-	want := readGoldenVectors(t)
-	all := search.Sample(goldenVectorSample, nil)
-	var vecs []dspace.Vector
-	var idx []int
-	for i := 0; i < len(all); i += 4 {
-		vecs, idx = append(vecs, all[i]), append(idx, i)
-	}
-	half := len(tr.Events) / 2
-	got := make([][2]VectorCell, len(vecs))
-	forEachVector(t, tr, vecs, func(i int, m *Custom) {
-		r := trace.NewReplayer(m, tr.Name, trace.RunOpts{})
-		if err := r.Apply(tr.Events[:half]); err != nil {
-			got[i][0].Err = err.Error()
-			return
-		}
-		fork, err := r.Fork(trace.RunOpts{})
-		if err != nil {
-			got[i][0].Err = err.Error()
-			return
-		}
-		for k, rep := range []*trace.Replayer{r, fork} {
-			err := rep.Apply(tr.Events[half:])
-			got[i][k] = vectorCell(rep.Manager().(*Custom), rep.Result(), err)
-		}
-	})
-	for i, pair := range got {
-		for k, side := range []string{"original", "fork"} {
-			if w := want[idx[i]]; pair[k] != w {
-				t.Errorf("vector %d, %s after the fork:\n  got  %+v\n  want %+v", idx[i], side, pair[k], w)
-			}
-		}
-	}
-}
-
 // TestFreeListsConsistent replays the quick DRR trace against every
 // vector of the golden sample and then runs CheckInvariants: every
 // pool's in-band free list must hold exactly its count, in order when

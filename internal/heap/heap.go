@@ -360,38 +360,6 @@ func (h *Heap) Checksum() uint64 {
 	return sum.Sum64()
 }
 
-// Clone returns a deep copy of the heap: identical observable state
-// (Checksum, Footprint, SysStats, every byte an allocator can address)
-// over fully independent backing memory, so a snapshot and the original
-// can evolve in parallel replays without sharing anything mutable. The
-// hot-segment cache is not carried over — it is a lookup accelerator
-// with no observable effect.
-func (h *Heap) Clone() *Heap {
-	n := &Heap{
-		cfg:          h.cfg,
-		brk:          h.brk,
-		span4:        h.span4,
-		nextSeg:      h.nextSeg,
-		segBytes:     h.segBytes,
-		maxFootprint: h.maxFootprint,
-		nSbrk:        h.nSbrk,
-		nShrink:      h.nShrink,
-		nMap:         h.nMap,
-		nUnmap:       h.nUnmap,
-	}
-	if len(h.mem) > 0 {
-		n.mem = make([]byte, len(h.mem))
-		copy(n.mem, h.mem)
-	}
-	if len(h.segs) > 0 {
-		n.segs = make([]*segment, len(h.segs))
-		for i, s := range h.segs {
-			n.segs[i] = &segment{base: s.base, size: s.size, mem: append([]byte(nil), s.mem...)}
-		}
-	}
-	return n
-}
-
 // footprint is the memory currently requested from the system.
 func (h *Heap) footprint() int64 {
 	return int64(h.brk) - int64(base) + h.segBytes

@@ -1,10 +1,6 @@
 package mm
 
-import (
-	"slices"
-
-	"dmmkit/internal/heap"
-)
+import "dmmkit/internal/heap"
 
 // AddrMap maps 4-aligned addresses in a heap's break region to small
 // nonzero values by direct indexing: a two-level page map in the manner
@@ -170,17 +166,6 @@ func (a *AddrMap) Take(p heap.Addr) (v uint32, ok bool) {
 
 // Len returns the number of entries.
 func (a *AddrMap) Len() int { return a.n }
-
-// Clone returns an independent copy of the map.
-func (a *AddrMap) Clone() AddrMap {
-	return AddrMap{
-		dir:   slices.Clone(a.dir),
-		pages: slices.Clone(a.pages),
-		spare: slices.Clone(a.spare),
-		limit: a.limit,
-		n:     a.n,
-	}
-}
 
 // growDir extends the directory to cover span d, at least doubling it
 // but never past the span holding limit-1.

@@ -203,44 +203,11 @@ func TestAddrMapPageReuse(t *testing.T) {
 	}
 }
 
-// TestAddrMapCloneIndependent checks that a clone and its original do not
-// observe each other's mutations, in paged and inline spans alike.
-func TestAddrMapCloneIndependent(t *testing.T) {
-	a := NewAddrMap(smallHeap())
-	a.Put(8, 1)
-	a.Put(32, 5) // same span as 8: both on a page
-	a.Put(4096, 2)
-	c := a.Clone()
-	a.Put(8, 10)
-	a.Take(4096)
-	a.Put(16, 3)
-	c.Put(24, 4)
-	c.Take(32)
-	if v, _ := c.Get(8); v != 1 {
-		t.Errorf("clone sees original's overwrite: Get(8) = %d", v)
-	}
-	if _, ok := c.Get(4096); !ok {
-		t.Error("clone lost an entry the original removed")
-	}
-	if _, ok := c.Get(16); ok {
-		t.Error("clone sees original's insert")
-	}
-	if _, ok := a.Get(24); ok {
-		t.Error("original sees clone's insert")
-	}
-	if v, ok := a.Get(32); !ok || v != 5 {
-		t.Errorf("original lost an entry the clone removed: Get(32) = (%d, %v)", v, ok)
-	}
-	if a.Len() != 3 || c.Len() != 3 {
-		t.Errorf("Len: original %d, clone %d; want 3, 3", a.Len(), c.Len())
-	}
-}
-
 // TestShadowPageMapDifferential drives a heap-backed Shadow and a
 // reference Go map through one seeded random program that mixes every
 // case the page map refuses — granule partners, mapped-segment addresses,
 // sizes of 0 and of 2^31 or more — with re-adds of live addresses and
-// bad frees, then checks Clone independence on the final state.
+// bad frees, then drains the final state.
 func TestShadowPageMapDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := smallHeap()
@@ -288,20 +255,13 @@ func TestShadowPageMapDifferential(t *testing.T) {
 		}
 	}
 
-	c := s.Clone()
-	for p := range ref {
-		s.Remove(p)
+	for p, want := range ref {
+		if got, ok := s.Remove(p); !ok || got != want {
+			t.Fatalf("drain Remove(%#x) = (%d, %v), want (%d, true)", p, got, ok, want)
+		}
 	}
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d after drain, want 0", s.Len())
-	}
-	for p, want := range ref {
-		if got, ok := c.Remove(p); !ok || got != want {
-			t.Fatalf("clone Remove(%#x) = (%d, %v), want (%d, true)", p, got, ok, want)
-		}
-	}
-	if c.Len() != 0 {
-		t.Fatalf("clone Len = %d after drain, want 0", c.Len())
 	}
 }
 

@@ -8,11 +8,10 @@ import (
 // Base is the policy-free half of a manager over one simulated heap: the
 // heap, read through the manager's block layout; the counters; and the
 // live-payload table. A manager embeds it and keeps only its policy
-// state, Alloc, Free, Name and a CloneManager that copies that state.
-// Base provides Heap, Footprint, MaxFootprint and StateChecksum (all
-// in-band manager state lives in the heap, so its digest is the heap's)
-// and CloneBase, the deep copy of its own fields. Alloc and Free call
-// Live's Add and Remove and the Accounting notes directly.
+// state, Alloc, Free and Name. Base provides Heap, Footprint,
+// MaxFootprint and StateChecksum (all in-band manager state lives in the
+// heap, so its digest is the heap's). Alloc and Free call Live's Add and
+// Remove and the Accounting notes directly.
 type Base struct {
 	Accounting
 	// V binds the manager's block layout to its heap. V.H is the only
@@ -41,14 +40,3 @@ func (b *Base) MaxFootprint() int64 { return b.V.H.MaxFootprint() }
 
 // StateChecksum implements Checksummer by digesting the heap.
 func (b *Base) StateChecksum() uint64 { return b.V.H.Checksum() }
-
-// CloneBase returns a deep copy over a clone of the heap, for a
-// manager's CloneManager: the copy and the original evolve
-// independently.
-func (b *Base) CloneBase() Base {
-	return Base{
-		Accounting: b.Accounting,
-		V:          block.View{H: b.V.H.Clone(), L: b.V.L},
-		Live:       b.Live.Clone(),
-	}
-}

@@ -10,9 +10,9 @@
 //
 // Every manager over one heap embeds Base: the heap under the manager's
 // block layout, the Accounting counters and the live-payload Shadow,
-// with the Footprint, MaxFootprint, StateChecksum and deep-copy methods
-// that depend on nothing else. A manager adds only its policy state and
-// Alloc, Free, Name and CloneManager.
+// with the Footprint, MaxFootprint and StateChecksum methods that depend
+// on nothing else. A manager adds only its policy state and Alloc, Free
+// and Name.
 //
 // # The work-unit cost model
 //

@@ -47,24 +47,11 @@ type Manager interface {
 	Name() string
 }
 
-// Cloner is implemented by managers that can deep-copy their complete
-// state — simulated heap, in-band block structures, and out-of-band
-// bookkeeping — so replay can snapshot a manager at a trace boundary
-// and later continue from the copy. The clone and the original must
-// evolve independently: replaying the same suffix against either yields
-// bit-identical results, and neither observes the other's mutations.
-// Read-only configuration (a sizing policy, a parameter table) may be
-// shared. CloneManager returns an error when a composite manager holds
-// a child that cannot be cloned.
-type Cloner interface {
-	CloneManager() (Manager, error)
-}
-
 // Checksummer is implemented by managers that can digest their full
 // simulated-heap state into one value. Two managers that evolved
-// through the same event sequence from the same start state must agree;
-// sharded replay uses it to verify that a shard lands exactly on the
-// next shard's snapshot.
+// through the same event sequence from the same start state must agree,
+// and a call that fails must leave the digest unchanged (the conformance
+// suite checks that).
 type Checksummer interface {
 	StateChecksum() uint64
 }

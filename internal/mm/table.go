@@ -2,7 +2,6 @@ package mm
 
 import (
 	"math/bits"
-	"slices"
 
 	"dmmkit/internal/heap"
 )
@@ -126,13 +125,6 @@ func (t *Table) Len() int {
 	return t.n
 }
 
-// Clone returns an independent copy of the table.
-func (t *Table) Clone() Table {
-	c := *t
-	c.slots = slices.Clone(t.slots)
-	return c
-}
-
 // grow doubles the table (or creates it) and rehashes every entry.
 func (t *Table) grow() {
 	old := t.slots
@@ -223,8 +215,3 @@ func (s *Shadow) Contains(p heap.Addr) bool {
 
 // Len returns the number of live blocks.
 func (s *Shadow) Len() int { return s.pages.Len() + s.over.Len() }
-
-// Clone returns an independent copy of the table.
-func (s *Shadow) Clone() Shadow {
-	return Shadow{pages: s.pages.Clone(), over: s.over.Clone(), low: s.low}
-}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -362,18 +363,24 @@ func TestUploadRequiresChecksum(t *testing.T) {
 	valid := traceBytes(t)
 	stripped := valid[:len(valid)-4]
 
-	// Locate the second event's last byte, its tick delta, from the
-	// decoder's resume point after it.
-	src, err := trace.DecodeBinarySource(bytes.NewReader(valid))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Locate the second event's last byte, its tick delta, by walking
+	// the encoding: the magic "DMMT2\n", the name's length and bytes,
+	// then two allocation events of a kind byte and five varints each
+	// (ID, size, tag, phase, tick delta).
+	off := len("DMMT2\n")
+	nameLen, n := binary.Uvarint(valid[off:])
+	off += n + int(nameLen)
 	for i := 0; i < 2; i++ {
-		if _, ok, err := src.Next(); !ok || err != nil {
-			t.Fatalf("decoding event %d: %v", i, err)
+		if valid[off] != byte(trace.KindAlloc) {
+			t.Fatalf("event %d at byte %d: kind %#x, want an allocation", i, off, valid[off])
+		}
+		off++
+		for f := 0; f < 5; f++ {
+			_, n := binary.Uvarint(valid[off:])
+			off += n
 		}
 	}
-	tickDelta := src.(trace.Positioner).Pos().Off - 1
+	tickDelta := off - 1
 	corrupt := bytes.Clone(stripped)
 	if corrupt[tickDelta] != 0x02 {
 		t.Fatalf("byte %d = %#x, want the zigzag tick delta 0x02", tickDelta, corrupt[tickDelta])

@@ -45,7 +45,7 @@ import (
 // model, the trace codec, and the replay engine — everything on the
 // per-event path of an exploration run, plus the core config types they
 // share.
-const DefaultPkgs = "dmmkit/internal/heap,dmmkit/internal/block,dmmkit/internal/mm,dmmkit/internal/bitset,dmmkit/internal/alloc/...,dmmkit/internal/trace,dmmkit/internal/replay,dmmkit/internal/core"
+const DefaultPkgs = "dmmkit/internal/heap,dmmkit/internal/block,dmmkit/internal/mm,dmmkit/internal/bitset,dmmkit/internal/alloc/...,dmmkit/internal/trace,dmmkit/internal/core"
 
 // DefaultBudget is the committed golden at the module root.
 const DefaultBudget = "perf_budget.json"

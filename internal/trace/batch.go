@@ -47,36 +47,6 @@ func readBatchSlow(src Source, dst []Event) (int, error) {
 	return len(dst), nil
 }
 
-// Pos is an exact resume point inside a DMMT2 stream: the byte offset
-// of the next undecoded event together with the decode state (event
-// index and previous tick) the delta coding needs to continue. A Pos is
-// only meaningful for the stream it was captured from (via Positioner)
-// and, through OpenerAt, for other handles on the same file.
-type Pos struct {
-	Off   int64  // byte offset of the next event record
-	Index uint64 // events decoded before this point
-	Tick  int64  // previous event's tick: the base of the next delta
-}
-
-// Positioner is implemented by sources that can report an exact
-// mid-stream resume point. The DMMT2 streaming decoder implements it;
-// the replay sharder uses it to open suffix passes without re-decoding
-// the prefix.
-type Positioner interface {
-	Pos() Pos
-}
-
-// OpenerAt extends Opener with mid-stream passes: OpenAt returns a
-// source that yields exactly the events after p, where p came from the
-// Pos of a source over the same underlying trace. *File implements it
-// for DMMT2 files. Sources opened mid-stream cannot verify the trailer
-// checksum (the prefix was never read), so callers should have verified
-// the stream once with a full pass first.
-type OpenerAt interface {
-	Opener
-	OpenAt(p Pos) (Source, error)
-}
-
 // NextBatch implements BatchSource by copying out of the materialized
 // event slice, so wrapped in-memory sources (e.g. behind WithContext)
 // keep bulk transfer even when the replay engine cannot see the slice.

@@ -3,8 +3,6 @@ package trace
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -179,67 +177,6 @@ func TestContextSourceNextBatch(t *testing.T) {
 	}
 	if n, err := bs.NextBatch(buf); n != 0 || err == nil {
 		t.Fatalf("cancellation did not latch: (%d, %v)", n, err)
-	}
-}
-
-// TestPosOpenAt splits a DMMT2 file at several event indices: decoding k
-// events, capturing Pos and reopening with OpenAt must yield exactly the
-// tail of a full sequential decode.
-func TestPosOpenAt(t *testing.T) {
-	tr := signedTrace(5)
-	path := filepath.Join(t.TempDir(), "signed.dmmt2")
-	fh, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.EncodeBinary2(fh); err != nil {
-		t.Fatal(err)
-	}
-	if err := fh.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, k := range []int{0, 1, len(tr.Events) / 3, len(tr.Events) - 1, len(tr.Events)} {
-		src, err := f.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, ok := src.(Positioner)
-		if !ok {
-			t.Fatal("DMMT2 file source does not implement Positioner")
-		}
-		for i := 0; i < k; i++ {
-			if _, ok, err := src.Next(); err != nil || !ok {
-				t.Fatalf("k=%d: prefix decode stopped at %d: %v", k, i, err)
-			}
-		}
-		pos := p.Pos()
-		if err := Close(src); err != nil {
-			t.Fatal(err)
-		}
-		if pos.Index != uint64(k) {
-			t.Fatalf("k=%d: Pos.Index = %d", k, pos.Index)
-		}
-
-		resumed, err := f.OpenAt(pos)
-		if err != nil {
-			t.Fatalf("k=%d: OpenAt: %v", k, err)
-		}
-		tail, err := drainNext(t, resumed)
-		if err != nil {
-			t.Fatalf("k=%d: resumed decode: %v", k, err)
-		}
-		if err := Close(resumed); err != nil {
-			t.Fatal(err)
-		}
-		want := tr.Events[k:]
-		if len(tail) != len(want) || (len(want) > 0 && !reflect.DeepEqual(tail, want)) {
-			t.Errorf("k=%d: resumed decode yielded %d events, want the %d-event tail", k, len(tail), len(want))
-		}
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 // DMMT2 trace fails here, not on the first Next — and decoding then
 // keeps O(1) memory beyond the read window, so replaying straight off
 // the source needs memory proportional to the application's live set,
-// not the trace length. The returned source is also a BatchSource and a
-// Positioner.
+// not the trace length. The returned source is also a BatchSource.
 //
 // The source validates events as it decodes them: ID and Size uvarints
 // above MaxInt64 (which would wrap to negative fields), zero allocation
@@ -56,18 +55,15 @@ func DecodeBinarySource(r io.Reader) (Source, error) {
 		r:    bufr,
 		buf:  make([]byte, batchWindow),
 		crc:  br.crc,
-		off:  br.n,
 	}, nil
 }
 
 // crcReader reads the stream header: it folds every byte it yields into
-// a running CRC-32C, which the body decoder continues, and counts them,
-// which gives the body's stream offset. It implements io.Reader and
-// io.ByteReader over the buffered stream.
+// a running CRC-32C, which the body decoder continues. It implements
+// io.Reader and io.ByteReader over the buffered stream.
 type crcReader struct {
 	br  *bufio.Reader
 	crc uint32
-	n   int64
 	one [1]byte
 }
 
@@ -78,14 +74,12 @@ func (r *crcReader) ReadByte() (byte, error) {
 	}
 	r.one[0] = b
 	r.crc = crc32.Update(r.crc, castagnoli, r.one[:1])
-	r.n++
 	return b, nil
 }
 
 func (r *crcReader) Read(p []byte) (int, error) {
 	n, err := r.br.Read(p)
 	r.crc = crc32.Update(r.crc, castagnoli, p[:n])
-	r.n += int64(n)
 	return n, err
 }
 
@@ -114,22 +108,20 @@ var errVarintOverflow = errors.New("trace: varint overflows 64 bits")
 // it a natural BatchSource; Next decodes one event from the same window
 // for consumers that need the one-event form.
 type binarySource struct {
-	name    string
-	r       *bufio.Reader
-	buf     []byte // read window
-	pos     int    // next undecoded byte in buf
-	lim     int    // buf[pos:lim] is read but not yet decoded
-	hashed  int    // bytes of buf already folded into crc (<= pos)
-	crc     uint32 // CRC-32C over every consumed byte, header included
-	off     int64  // stream offset of buf[0]
-	i       uint64 // events decoded so far
-	last    int64  // previous event's tick
-	eof     bool
-	pend    error // read error surfaced only after buffered events drain
-	skipCRC bool  // mid-stream pass: the prefix was never hashed
-	done    bool
-	err     error     // latched: a corrupt stream stays corrupt
-	c       io.Closer // closed when the stream ends (see OpenFile)
+	name   string
+	r      *bufio.Reader
+	buf    []byte // read window
+	pos    int    // next undecoded byte in buf
+	lim    int    // buf[pos:lim] is read but not yet decoded
+	hashed int    // bytes of buf already folded into crc (<= pos)
+	crc    uint32 // CRC-32C over every consumed byte, header included
+	i      uint64 // events decoded so far
+	last   int64  // previous event's tick
+	eof    bool
+	pend   error // read error surfaced only after buffered events drain
+	done   bool
+	err    error     // latched: a corrupt stream stays corrupt
+	c      io.Closer // closed when the stream ends (see OpenFile)
 }
 
 func (s *binarySource) Name() string { return s.name }
@@ -175,7 +167,6 @@ func (s *binarySource) fill(need int) {
 	}
 	if s.pos > 0 {
 		copy(s.buf, s.buf[s.pos:s.lim])
-		s.off += int64(s.pos)
 		s.lim -= s.pos
 		s.pos = 0
 		s.hashed = 0
@@ -396,7 +387,7 @@ func (s *binarySource) trailer() error {
 	got := binary.LittleEndian.Uint32(s.buf[s.pos : s.pos+crcLen])
 	s.pos += crcLen
 	s.hashed = s.pos
-	if !s.skipCRC && got != s.crc {
+	if got != s.crc {
 		return fmt.Errorf("trace: checksum mismatch: trailer %08x, stream %08x (corrupt trace)", got, s.crc)
 	}
 	return nil
@@ -433,12 +424,6 @@ func (s *binarySource) NextBatch(dst []Event) (int, error) {
 		n++
 	}
 	return n, nil
-}
-
-// Pos implements Positioner: it reports the resume point just before
-// the next undecoded event.
-func (s *binarySource) Pos() Pos {
-	return Pos{Off: s.off + int64(s.pos), Index: s.i, Tick: s.last}
 }
 
 // File is an Opener over an on-disk DMMT2 trace: every Open starts an
@@ -505,49 +490,6 @@ func (f *File) Open() (Source, error) {
 		}
 		s.(*binarySource).c = fh
 		src = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return src, nil
-}
-
-// OpenAt implements OpenerAt: it opens a fresh handle
-// and resumes decoding at p, which must have come from the Pos of a
-// source over the same file. The pass yields exactly the events after
-// p; the trailer's event count is still verified (Pos carries the
-// index), but the checksum is not — the bytes before p were never read,
-// so the caller is expected to have verified the file with one full
-// pass first. Seekable handles seek; others discard p.Off bytes.
-func (f *File) OpenAt(p Pos) (Source, error) {
-	var src Source
-	err := f.opts.Retry.retry(func() error {
-		fh, err := f.opts.open(f.path)
-		if err != nil {
-			return err
-		}
-		r := bufio.NewReader(fh)
-		if sk, ok := fh.(io.Seeker); ok {
-			if _, err := sk.Seek(p.Off, io.SeekStart); err != nil {
-				_ = fh.Close()
-				return fmt.Errorf("trace: %s: seeking to %d: %w", f.path, p.Off, err)
-			}
-			r.Reset(fh)
-		} else if _, err := io.CopyN(io.Discard, r, p.Off); err != nil {
-			_ = fh.Close()
-			return fmt.Errorf("trace: %s: skipping to offset %d: %w", f.path, p.Off, err)
-		}
-		src = &binarySource{
-			name:    f.name,
-			r:       r,
-			buf:     make([]byte, batchWindow),
-			off:     p.Off,
-			i:       p.Index,
-			last:    p.Tick,
-			skipCRC: true,
-			c:       fh,
-		}
 		return nil
 	})
 	if err != nil {

@@ -27,8 +27,7 @@
 // Replayer is the replay kernel: its Apply is the one loop that turns
 // trace events into Manager calls, a batch at a time. RunSource drives it
 // over any Source — zero-copy sub-slices of an in-memory trace, a reused
-// buffer for everything else — and internal/replay drives it for sharded
-// replay, forking it at snapshots. The live-pointer table it keeps has
+// buffer for everything else. The live-pointer table it keeps has
 // two forms, picked by the source: a dense ID-indexed slice for
 // in-memory traces, the open-addressing mm.Table otherwise.
 //

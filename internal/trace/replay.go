@@ -3,7 +3,6 @@ package trace
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"dmmkit/internal/heap"
 	"dmmkit/internal/mm"
@@ -50,9 +49,8 @@ type RunOpts struct {
 // has two forms, and the source picks one. The in-memory source pre-scans
 // its events: a Builder trace has dense sequential IDs, so the table is a
 // flat slice indexed by ID, allocated once — no per-event hashing or
-// allocation. Every other source, and every replay snapshot, uses the
-// open-addressing mm.Table, whose size follows the live set rather than
-// the trace length (a dense snapshot would cost O(max ID) to clone).
+// allocation. Every other source uses the open-addressing mm.Table,
+// whose size follows the live set rather than the trace length.
 // Address Nil marks a dead ID: managers never hand out the nil address.
 //
 // set and take must stay inlinable into the replay kernel, with the
@@ -112,15 +110,10 @@ func (lt *liveTable) takeHashed(id int64) heap.Addr {
 	return heap.Addr(p)
 }
 
-func (lt *liveTable) clone() liveTable {
-	return liveTable{dense: slices.Clone(lt.dense), hashed: lt.hashed.Clone()}
-}
-
 // Replayer is the replay kernel: the one place trace events turn into
 // Manager calls. It holds the manager, the live table, the running
 // Result and the global index of the next event; Apply feeds it a batch.
-// RunSource, replay.Build and the replay shards are drivers around it,
-// each fetching batches its own way.
+// RunSource is the driver around it, fetching batches from a Source.
 type Replayer struct {
 	m    mm.Manager
 	live liveTable
@@ -179,23 +172,6 @@ func (r *Replayer) fail(k int, err error) error {
 	return fmt.Errorf("replay %q on %s: event %d: %w", r.res.TraceName, r.res.Manager, r.next+k, err)
 }
 
-// Fork returns an independent replayer continuing from r's position: a
-// clone of the manager, which must implement mm.Cloner, and of the live
-// table, with an empty Result sampled under opts.
-func (r *Replayer) Fork(opts RunOpts) (*Replayer, error) {
-	cl, ok := r.m.(mm.Cloner)
-	if !ok {
-		return nil, fmt.Errorf("manager %s does not support cloning", r.m.Name())
-	}
-	m, err := cl.CloneManager()
-	if err != nil {
-		return nil, err
-	}
-	f := NewReplayer(m, r.res.TraceName, opts)
-	f.live, f.next = r.live.clone(), r.next
-	return f, nil
-}
-
 // Manager returns the manager the replayer drives.
 func (r *Replayer) Manager() mm.Manager { return r.m }
 
@@ -212,8 +188,8 @@ func (r *Replayer) Result() Result {
 }
 
 // Run replays a trace against a manager, returning footprint statistics.
-// The manager is used as-is: construct a fresh manager, or clone one
-// through mm.Cloner, for each independent run. Cancelling ctx stops the replay between batches and
+// The manager is used as-is: construct a fresh manager for each
+// independent run. Cancelling ctx stops the replay between batches and
 // returns the context's error; a nil ctx is treated as context.Background.
 //
 // Run is the in-memory form of RunSource: the two produce identical
