@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -341,23 +340,57 @@ func (h *Heap) Fill(addr Addr, n int64, b byte) {
 // contents). Two heaps with equal checksums hold bit-identical memory;
 // differential tests use this to prove optimizations preserve behavior.
 func (h *Heap) Checksum() uint64 {
-	sum := fnv.New64a()
-	var scratch [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		sum.Write(scratch[:])
-	}
-	word(uint64(h.brk))
+	sum := uint64(fnvOffset)
+	sum = fnvWord(sum, uint64(h.brk))
 	if h.brk > base {
-		sum.Write(h.mem[base:h.brk])
+		sum = fnvBytes(sum, h.mem[base:h.brk])
 	}
-	word(uint64(len(h.segs)))
+	sum = fnvWord(sum, uint64(len(h.segs)))
 	for _, s := range h.segs {
-		word(uint64(s.base))
-		word(uint64(s.size))
-		sum.Write(s.mem)
+		sum = fnvWord(sum, uint64(s.base))
+		sum = fnvWord(sum, uint64(s.size))
+		sum = fnvBytes(sum, s.mem)
 	}
-	return sum.Sum64()
+	return sum
+}
+
+// The 64-bit FNV-1a parameters, as in hash/fnv, and the prime to the
+// eighth power modulo 2^64.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	fnvPrime8 = 0x1efac7090aef4a21
+)
+
+// fnvWord folds the eight little-endian bytes of v into the FNV-1a
+// hash sum.
+func fnvWord(sum, v uint64) uint64 {
+	for range 8 {
+		sum ^= v & 0xff
+		sum *= fnvPrime
+		v >>= 8
+	}
+	return sum
+}
+
+// fnvBytes folds b into the FNV-1a hash sum, bit-identically to
+// hash/fnv. A zero byte only multiplies the hash by the prime, so an
+// all-zero 8-byte word, which most of a simulated heap is, folds as one
+// multiply by the prime's eighth power.
+func fnvBytes(sum uint64, b []byte) uint64 {
+	for len(b) >= 8 {
+		if w := binary.LittleEndian.Uint64(b); w == 0 {
+			sum *= fnvPrime8
+		} else {
+			sum = fnvWord(sum, w)
+		}
+		b = b[8:]
+	}
+	for _, c := range b {
+		sum ^= uint64(c)
+		sum *= fnvPrime
+	}
+	return sum
 }
 
 // footprint is the memory currently requested from the system.

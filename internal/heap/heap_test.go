@@ -1,6 +1,8 @@
 package heap
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -307,5 +309,82 @@ func TestQuickFootprintMonotoneMax(t *testing.T) {
 		if h.Footprint() > h.MaxFootprint() {
 			t.Fatalf("Footprint %d exceeds MaxFootprint %d", h.Footprint(), h.MaxFootprint())
 		}
+	}
+}
+
+// refChecksum is Checksum written over hash/fnv, one byte at a time.
+func refChecksum(h *Heap) uint64 {
+	sum := fnv.New64a()
+	var scratch [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(scratch[:], v)
+		sum.Write(scratch[:])
+	}
+	word(uint64(h.brk))
+	if h.brk > base {
+		sum.Write(h.mem[base:h.brk])
+	}
+	word(uint64(len(h.segs)))
+	for _, s := range h.segs {
+		word(uint64(s.base))
+		word(uint64(s.size))
+		sum.Write(s.mem)
+	}
+	return sum.Sum64()
+}
+
+// TestChecksumMatchesFNV holds Checksum, which folds all-zero words as
+// one multiply, to FNV-1a from hash/fnv: over buffers with a zero run of
+// every length from 0 to 24 at every start offset mod 8, and over heaps
+// with such runs in the break region and in mapped segments.
+func TestChecksumMatchesFNV(t *testing.T) {
+	if got, want := fnvBytes(fnvOffset, nil), fnv.New64a().Sum64(); got != want {
+		t.Fatalf("empty input: %#x, want %#x", got, want)
+	}
+	for start := 0; start < 8; start++ {
+		for run := 0; run <= 24; run++ {
+			for tail := 0; tail < 8; tail++ {
+				b := make([]byte, start+run+tail)
+				for i := range b {
+					if i < start || i >= start+run {
+						b[i] = byte(i*7 + 1)
+					}
+				}
+				ref := fnv.New64a()
+				ref.Write(b)
+				if got, want := fnvBytes(fnvOffset, b), ref.Sum64(); got != want {
+					t.Fatalf("start %d, zero run %d, tail %d: %#x, want %#x", start, run, tail, got, want)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	h := New(Config{})
+	for i := 0; i < 40; i++ {
+		if got, want := h.Checksum(), refChecksum(h); got != want {
+			t.Fatalf("step %d: Checksum %#x, want %#x", i, got, want)
+		}
+		// Grow either region and write a few nonzero bytes at random
+		// offsets, so the zero runs between them take every length.
+		var a Addr
+		var n int64
+		var err error
+		if i%3 == 2 {
+			n = rng.Int63n(3000) + 1
+			a, err = h.Map(n)
+		} else {
+			n = rng.Int63n(300) + 1
+			a, err = h.Sbrk(n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			h.Bytes(a+Addr(rng.Int63n(n)), 1)[0] = byte(rng.Intn(255) + 1)
+		}
+	}
+	if len(h.segs) == 0 {
+		t.Fatal("no mapped segment was checked")
 	}
 }
