@@ -94,7 +94,7 @@ const batchWindow = 64 << 10
 // that runs off the window's end is one that runs off the stream's.
 const maxEventLen = 1 + 5*binary.MaxVarintLen64
 
-var errVarintOverflow = errors.New("trace: varint overflows 64 bits")
+var errVarintOverflow = errors.New("varint overflows 64 bits")
 
 // binarySource streams a DMMT2 body: zigzag varints for the signed
 // fields, then a 0xFF end marker followed by the event count, which
@@ -234,7 +234,7 @@ func (s *binarySource) decode(e *Event) (ok bool, err error) {
 		id, n = binary.Uvarint(b[1:])
 	}
 	if n <= 0 {
-		return false, s.varintErr(n)
+		return false, s.varintErr("id", n)
 	}
 	i := 1 + n
 	if int64(id) < 0 {
@@ -248,7 +248,7 @@ func (s *binarySource) decode(e *Event) (ok bool, err error) {
 			size, n = binary.Uvarint(b[i:])
 		}
 		if n <= 0 {
-			return false, s.varintErr(n)
+			return false, s.varintErr("size", n)
 		}
 		i += n
 		if size-1 >= math.MaxInt64 { // 0, or wraps negative
@@ -259,7 +259,7 @@ func (s *binarySource) decode(e *Event) (ok bool, err error) {
 			u, n = binary.Uvarint(b[i:])
 		}
 		if n <= 0 {
-			return false, s.varintErr(n)
+			return false, s.varintErr("tag", n)
 		}
 		i += n
 		if tag = unzigzag(u); tag != int64(int32(tag)) {
@@ -271,7 +271,7 @@ func (s *binarySource) decode(e *Event) (ok bool, err error) {
 		u, n = binary.Uvarint(b[i:])
 	}
 	if n <= 0 {
-		return false, s.varintErr(n)
+		return false, s.varintErr("phase", n)
 	}
 	i += n
 	phase := unzigzag(u)
@@ -283,7 +283,7 @@ func (s *binarySource) decode(e *Event) (ok bool, err error) {
 		u, n = binary.Uvarint(b[i:])
 	}
 	if n <= 0 {
-		return false, s.varintErr(n)
+		return false, s.varintErr("tick", n)
 	}
 	// dst buffers are reused across batches: every field is stored, so a
 	// free never carries a previous event's Size or Tag. Field by field,
@@ -310,9 +310,18 @@ func (s *binarySource) endErr() error {
 	return fmt.Errorf("trace: event %d: truncated stream (missing end marker): %w", s.i, io.ErrUnexpectedEOF)
 }
 
-// varintErr is the error for a varint that failed with length n:
-// overflow when negative, otherwise the window ran out mid-event.
-func (s *binarySource) varintErr(n int) error {
+// varintErr is the error for the varint of field that failed with
+// length n. It names the event and the field.
+//
+//go:noinline
+func (s *binarySource) varintErr(field string, n int) error {
+	return fmt.Errorf("trace: event %d: %s: %w", s.i, field, s.varintCause(n))
+}
+
+// varintCause is why a varint failed with length n: overflow when
+// negative, otherwise the window ran out mid-event (truncation, or a
+// pending read error).
+func (s *binarySource) varintCause(n int) error {
 	if n < 0 {
 		return errVarintOverflow
 	}
@@ -364,7 +373,7 @@ func (s *binarySource) int32Err(field string, v int64) error {
 func (s *binarySource) trailer() error {
 	count, n := binary.Uvarint(s.buf[s.pos:s.lim])
 	if n <= 0 {
-		return fmt.Errorf("trace: reading trailer count: %w", s.varintErr(n))
+		return fmt.Errorf("trace: reading trailer count: %w", s.varintCause(n))
 	}
 	s.pos += n
 	if count != s.i {

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -137,13 +139,45 @@ func TestDecodeRejectsOverflow(t *testing.T) {
 			b.Write(bytes.Repeat([]byte{0xFF}, 10))
 			b.WriteByte(0x01)
 			return b
-		}, errVarintOverflow.Error()},
+		}, "trace: event 0: id: varint overflows 64 bits"},
+		{"v2 tick varint overflow", func() *bytes.Buffer {
+			b := header("x")
+			b.WriteByte(byte(KindFree))
+			put(b, 0)
+			putSigned(b, 0)
+			b.Write(bytes.Repeat([]byte{0xFF}, 10))
+			b.WriteByte(0x01)
+			return b
+		}, "trace: event 0: tick: varint overflows 64 bits"},
+		// Streams cut inside an event name the event and the field.
+		{"v2 cut inside a varint", func() *bytes.Buffer {
+			b := header("x")
+			b.WriteByte(byte(KindAlloc))
+			put(b, 0)
+			b.WriteByte(0x80) // a continuation byte with nothing after it
+			return b
+		}, "trace: event 0: size: unexpected EOF"},
+		{"v2 cut between fields", func() *bytes.Buffer {
+			b := header("x")
+			b.WriteByte(byte(KindFree))
+			put(b, 0)
+			putSigned(b, 0)
+			putSigned(b, 1)
+			b.WriteByte(byte(KindAlloc))
+			put(b, 1)
+			put(b, 8)
+			putSigned(b, 0)
+			return b
+		}, "trace: event 1: phase: unexpected EOF"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := DecodeBinary(tc.buf())
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("DecodeBinary = %v, want error containing %q", err, tc.want)
+			}
+			if cut := strings.HasSuffix(tc.want, "unexpected EOF"); errors.Is(err, io.ErrUnexpectedEOF) != cut {
+				t.Errorf("errors.Is(%v, io.ErrUnexpectedEOF) = %v, want %v", err, !cut, cut)
 			}
 		})
 	}

@@ -32,7 +32,7 @@ func (s *binarySource) refUvarint() (uint64, error) {
 		return v, nil
 	}
 	if n < 0 {
-		return 0, errors.New("trace: varint overflows 64 bits")
+		return 0, errors.New("varint overflows 64 bits")
 	}
 	if s.pend != nil {
 		return 0, s.pend
@@ -48,7 +48,7 @@ func (s *binarySource) refVarint() (int64, error) {
 		return v, nil
 	}
 	if n < 0 {
-		return 0, errors.New("trace: varint overflows 64 bits")
+		return 0, errors.New("varint overflows 64 bits")
 	}
 	if s.pend != nil {
 		return 0, s.pend
@@ -80,6 +80,11 @@ func refCheckInt32(i uint64, field string, v int64) (int32, error) {
 	return int32(v), nil
 }
 
+// refFieldErr names the event and the field whose varint failed.
+func (s *binarySource) refFieldErr(field string, err error) error {
+	return fmt.Errorf("trace: event %d: %s: %w", s.i, field, err)
+}
+
 // refStep decodes one event into e: ok false with a nil error is the
 // clean end of the stream, ok false with an error is terminal.
 func (s *binarySource) refStep(e *Event) (ok bool, err error) {
@@ -104,7 +109,7 @@ func (s *binarySource) refStep(e *Event) (ok bool, err error) {
 	s.pos++
 	id, err := s.refUvarint()
 	if err != nil {
-		return false, err
+		return false, s.refFieldErr("id", err)
 	}
 	if e.ID, err = refCheckID(s.i, id); err != nil {
 		return false, err
@@ -112,14 +117,14 @@ func (s *binarySource) refStep(e *Event) (ok bool, err error) {
 	if e.Kind == KindAlloc {
 		size, err := s.refUvarint()
 		if err != nil {
-			return false, err
+			return false, s.refFieldErr("size", err)
 		}
 		if e.Size, err = refCheckSize(s.i, size); err != nil {
 			return false, err
 		}
 		tag, err := s.refVarint()
 		if err != nil {
-			return false, err
+			return false, s.refFieldErr("tag", err)
 		}
 		if e.Tag, err = refCheckInt32(s.i, "tag", tag); err != nil {
 			return false, err
@@ -127,14 +132,14 @@ func (s *binarySource) refStep(e *Event) (ok bool, err error) {
 	}
 	phase, err := s.refVarint()
 	if err != nil {
-		return false, err
+		return false, s.refFieldErr("phase", err)
 	}
 	if e.Phase, err = refCheckInt32(s.i, "phase", phase); err != nil {
 		return false, err
 	}
 	dt, err := s.refVarint()
 	if err != nil {
-		return false, err
+		return false, s.refFieldErr("tick", err)
 	}
 	e.Tick = s.last + dt
 	s.last = e.Tick
