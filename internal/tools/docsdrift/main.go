@@ -2,9 +2,10 @@
 // repo's command surface from the source of truth — the `cmd/*`
 // directory names and the `-exp` experiment names parsed out of
 // dmmbench's flag usage string — and fails when any of them is missing
-// from the user-facing docs (README.md, ARCHITECTURE.md, docs/*.md).
-// A new binary or experiment that ships undocumented, or a doc that
-// still advertises a removed one, breaks the build instead of rotting.
+// from the user-facing docs (README.md, ARCHITECTURE.md, docs/*.md), or
+// when a doc gives an -exp name dmmbench does not have. A new binary or
+// experiment that ships undocumented, or a doc that still advertises a
+// removed experiment, breaks the build instead of rotting.
 //
 // Usage (from the module root):
 //
@@ -29,10 +30,14 @@ import (
 // comma-separated experiment list.
 var expUsage = regexp.MustCompile(`"experiment: ([a-z0-9, ]+)"`)
 
+// expFlag matches an -exp flag in the docs, capturing its value: one
+// experiment name or a comma list of them, as in "-exp table1,figure5".
+var expFlag = regexp.MustCompile(`-exp[ =]([a-z0-9]+(?:,[a-z0-9]+)*)`)
+
 // surface is everything the docs must mention.
 type surface struct {
 	commands    []string // cmd/* directory names
-	experiments []string // dmmbench -exp names
+	experiments []string // dmmbench -exp names, "all" excluded
 }
 
 // readSurface derives the command surface from the source tree.
@@ -69,32 +74,76 @@ func readSurface(root string) (surface, error) {
 	return s, nil
 }
 
-// readDocs concatenates the user-facing docs, remembering which files
-// were read for the error message.
-func readDocs(root string) (string, []string, error) {
+// doc is one user-facing document.
+type doc struct {
+	path string
+	text string
+}
+
+// readDocs reads the user-facing docs: README.md, ARCHITECTURE.md and
+// docs/*.md.
+func readDocs(root string) ([]doc, error) {
 	paths := []string{
 		filepath.Join(root, "README.md"),
 		filepath.Join(root, "ARCHITECTURE.md"),
 	}
 	globbed, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	sort.Strings(globbed)
 	paths = append(paths, globbed...)
 
-	var all strings.Builder
-	var read []string
+	docs := make([]doc, 0, len(paths))
 	for _, p := range paths {
 		data, err := os.ReadFile(p)
 		if err != nil {
-			return "", nil, fmt.Errorf("reading %s: %w", p, err)
+			return nil, fmt.Errorf("reading %s: %w", p, err)
 		}
-		all.Write(data)
-		all.WriteByte('\n')
-		read = append(read, p)
+		docs = append(docs, doc{path: p, text: string(data)})
 	}
-	return all.String(), read, nil
+	return docs, nil
+}
+
+// drift returns every way docs and the surface disagree: a command or
+// experiment the docs never mention, and an -exp name the docs give
+// that dmmbench does not have.
+func drift(s surface, docs []doc) []string {
+	var all strings.Builder
+	for _, d := range docs {
+		all.WriteString(d.text)
+		all.WriteByte('\n')
+	}
+	text := all.String()
+
+	var problems []string
+	for _, c := range s.commands {
+		if !strings.Contains(text, c) {
+			problems = append(problems, fmt.Sprintf("command cmd/%s is undocumented", c))
+		}
+	}
+	known := map[string]bool{"all": true}
+	for _, e := range s.experiments {
+		known[e] = true
+		// Experiments appear in prose as "-exp name", in comma lists or
+		// backticked; a bare substring match covers all of those while
+		// still failing when the name is absent entirely.
+		if !strings.Contains(text, e) {
+			problems = append(problems, fmt.Sprintf("experiment -exp %s is undocumented", e))
+		}
+	}
+	for _, d := range docs {
+		for i, line := range strings.Split(d.text, "\n") {
+			for _, m := range expFlag.FindAllStringSubmatch(line, -1) {
+				for _, name := range strings.Split(m[1], ",") {
+					if !known[name] {
+						problems = append(problems, fmt.Sprintf("%s:%d: -exp %s is not a dmmbench experiment", d.path, i+1, name))
+					}
+				}
+			}
+		}
+	}
+	return problems
 }
 
 func main() {
@@ -106,31 +155,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docsdrift: %v\n", err)
 		os.Exit(2)
 	}
-	docs, read, err := readDocs(*root)
+	docs, err := readDocs(*root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "docsdrift: %v\n", err)
 		os.Exit(2)
 	}
 
-	var missing []string
-	for _, c := range s.commands {
-		if !strings.Contains(docs, c) {
-			missing = append(missing, fmt.Sprintf("command cmd/%s", c))
+	if problems := drift(s, docs); len(problems) > 0 {
+		read := make([]string, len(docs))
+		for i, d := range docs {
+			read[i] = d.path
 		}
-	}
-	for _, e := range s.experiments {
-		// Experiments appear in prose as "-exp name", in comma lists or
-		// backticked; a bare substring match covers all of those while
-		// still failing when the name is absent entirely.
-		if !strings.Contains(docs, e) {
-			missing = append(missing, fmt.Sprintf("experiment -exp %s", e))
-		}
-	}
-
-	if len(missing) > 0 {
-		fmt.Fprintf(os.Stderr, "docsdrift: %d undocumented surface(s) (checked %s):\n", len(missing), strings.Join(read, ", "))
-		for _, m := range missing {
-			fmt.Fprintf(os.Stderr, "  - %s\n", m)
+		fmt.Fprintf(os.Stderr, "docsdrift: %d drifted surface(s) (checked %s):\n", len(problems), strings.Join(read, ", "))
+		for _, p := range problems {
+			fmt.Fprintf(os.Stderr, "  - %s\n", p)
 		}
 		os.Exit(1)
 	}
