@@ -172,9 +172,6 @@ func (r *Replayer) fail(k int, err error) error {
 	return fmt.Errorf("replay %q on %s: event %d: %w", r.res.TraceName, r.res.Manager, r.next+k, err)
 }
 
-// Manager returns the manager the replayer drives.
-func (r *Replayer) Manager() mm.Manager { return r.m }
-
 // Result returns the events replayed so far with the manager's current
 // end-of-replay statistics.
 func (r *Replayer) Result() Result {
