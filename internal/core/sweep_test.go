@@ -39,9 +39,6 @@ func TestDesignSpaceSweep(t *testing.T) {
 		t.Skip("replays all 144,480 vectors")
 	}
 	full := goldenVectorsTrace(t)
-	if len(full.Events) < sweepEvents {
-		t.Fatalf("quick DRR trace has %d events, the sweep needs %d", len(full.Events), sweepEvents)
-	}
 	tr := &trace.Trace{Name: full.Name, Events: full.Events[:sweepEvents]}
 
 	var vecs []dspace.Vector
