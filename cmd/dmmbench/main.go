@@ -28,13 +28,30 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 
 	"dmmkit/internal/experiments"
 )
 
+// expUsage is the -exp flag's usage string and the one list of
+// experiment names: main rejects any other name, and docsdrift parses
+// the list out of this literal.
+const expUsage = "experiment: table1, figure5, perf, order, static, evo, pareto, fits, stream, bench, all"
+
+// checkExp returns an error naming the valid experiments if name is not
+// one of them.
+func checkExp(name string) error {
+	valid := strings.TrimPrefix(expUsage, "experiment: ")
+	if !slices.Contains(strings.Split(valid, ", "), name) {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", name, valid)
+	}
+	return nil
+}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, figure5, perf, order, static, evo, pareto, fits, stream, bench, all")
+		exp      = flag.String("exp", "all", expUsage)
 		seeds    = flag.Int("seeds", 10, "traces per case study (the paper averages 10)")
 		quick    = flag.Bool("quick", false, "smaller workloads (for smoke runs)")
 		parallel = flag.Int("parallel", 0, "concurrent cells (0 = GOMAXPROCS, 1 = sequential)")
@@ -43,6 +60,11 @@ func main() {
 		jsonPath = flag.String("json", "BENCH_table1.json", "output file for -exp bench")
 	)
 	flag.Parse()
+	if err := checkExp(*exp); err != nil {
+		fmt.Fprintf(os.Stderr, "dmmbench: -exp: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	cfg := experiments.Config{Seeds: *seeds, Quick: *quick, Parallelism: *parallel}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

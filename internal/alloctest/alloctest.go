@@ -90,7 +90,7 @@ func testPayloadIntegrity(t *testing.T, m mm.Manager, opts Options) {
 	}
 	live := make([]blk, 0, 64)
 	check := func(b blk) {
-		for _, x := range hp.Bytes(b.p, b.n) {
+		for _, x := range hp.Copy(b.p, b.n) {
 			if x != b.pat {
 				t.Fatalf("payload of block %#x (size %d, pattern %#x) corrupted: found %#x", b.p, b.n, b.pat, x)
 			}

@@ -190,10 +190,12 @@ var (
 	errNoFooter   = errors.New("block: footer access on layout without footer tags")
 )
 
-// header encodes the size/status header word of a block.
+// header encodes the size/status header word of a block. It tests the
+// status bit with a mask: through Info.Has, SetHeader would cost 83,
+// over the inliner's budget of 80.
 func (l Layout) header(size int64, used, prevUsed bool) uint32 {
 	w := uint32(size) & sizeMask
-	if l.Info.Has(InfoStatus) {
+	if l.Info&InfoStatus != 0 {
 		if used {
 			w |= usedBit
 		}
@@ -233,13 +235,11 @@ func (v View) Used(b heap.Addr) bool { return v.H.U32(b)&usedBit != 0 }
 
 // SetUsed rewrites only the used bit of the block at b.
 func (v View) SetUsed(b heap.Addr, used bool) {
-	w := v.H.U32(b)
+	var w uint32
 	if used {
-		w |= usedBit
-	} else {
-		w &^= usedBit
+		w = usedBit
 	}
-	v.H.PutU32(b, w)
+	v.H.PutBits(b, usedBit, w)
 }
 
 // PrevUsed reports the previous-block-used bit of the block at b.
@@ -247,13 +247,11 @@ func (v View) PrevUsed(b heap.Addr) bool { return v.H.U32(b)&prevUsedBit != 0 }
 
 // SetPrevUsed rewrites only the prevUsed bit of the block at b.
 func (v View) SetPrevUsed(b heap.Addr, used bool) {
-	w := v.H.U32(b)
+	var w uint32
 	if used {
-		w |= prevUsedBit
-	} else {
-		w &^= prevUsedBit
+		w = prevUsedBit
 	}
-	v.H.PutU32(b, w)
+	v.H.PutBits(b, prevUsedBit, w)
 }
 
 // SetPrevSize records the previous neighbour's gross size (InfoPrevSize

@@ -5,7 +5,9 @@
 // real process memory the way the C allocators studied by Atienza et al.
 // (DATE 2004) do. Instead, every manager in this repository operates on a
 // Heap: a growable arena with an sbrk-style program break plus mmap-like
-// side segments. Allocator metadata (block headers, footers, free-list
+// side segments. The break region is backed by fixed-size host chunks
+// (64 KiB), added as the break grows and never copied, so simulating a
+// footprint costs about that footprint in host memory. Allocator metadata (block headers, footers, free-list
 // links) is stored in-band inside the arena, exactly as a C allocator
 // stores it in process memory, so per-block overhead, fragmentation and
 // footprint measurements are byte-accurate.
@@ -27,10 +29,12 @@
 // independently of how fast the simulator itself runs. The heap's own
 // accessors are engineered to keep simulator overhead out of that
 // measurement: the word accessors (U32/PutU32 and friends) serve the sbrk
-// region only, where a single bounds compare selects an inline
-// read/write into the arena and a miss panics in line with the heap's
-// ErrBadAddress fault value; mapped segments are reached through Bytes,
-// whose lookups hit a last-used cache before binary search. Policy
+// region only, where one bounds compare and one chunk-boundary compare
+// select an inline read/write into the chunk (the address's high bits
+// index the chunk table, its low bits the chunk), and a miss panics in
+// line with the heap's ErrBadAddress fault value; PutBits rewrites some
+// bits of a word with one lookup. Mapped segments are reached through
+// Bytes, whose lookups hit a last-used cache before binary search. Policy
 // outputs (footprint, live bytes, work units) are invariant under these
 // optimizations — the golden differential test pins them, including an
 // FNV checksum of every heap byte.

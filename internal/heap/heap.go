@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -32,9 +33,10 @@ var (
 
 // Config controls heap construction. The zero value selects defaults.
 type Config struct {
-	// PageSize is the sbrk granularity in bytes. Managers may request
-	// arbitrary extensions; the heap grows its backing store in pages.
-	// Default 4096.
+	// PageSize is the granularity of mapped segments: Map rounds sizes
+	// up to it, and it is the guard gap left between segments (SegGuard).
+	// The break region is unaffected: Sbrk aligns to Align, and its
+	// backing store grows in fixed chunks. Default 4096.
 	PageSize int64
 	// SegBase is the virtual address where mapped segments start. The
 	// break may never grow past it. Default 1 GiB.
@@ -55,9 +57,9 @@ type segment struct {
 type Heap struct {
 	cfg Config
 
-	mem   []byte // backing store for the sbrk region; mem[0] unused
-	brk   Addr   // current program break; addresses in [base, brk) are owned
-	span4 Addr   // count of addresses in [base, brk) with room for 4 bytes
+	chunks []*[chunkSize]byte // backing store of the sbrk region; see chunkShift
+	brk    Addr               // current program break; addresses in [base, brk) are owned
+	span4  Addr               // count of addresses in [base, brk) with room for 4 bytes
 
 	segs     []*segment // mmap-like segments, sorted by base
 	hot      *segment   // last segment hit by locate, checked before the search
@@ -66,11 +68,23 @@ type Heap struct {
 
 	maxFootprint int64
 
-	fault wordFault // panic value of the word accessors; see wordFault
+	faultAddr Addr // address of the last word fault; see wordFault
 
 	// Counters exposed through SysStats.
 	nSbrk, nShrink, nMap, nUnmap int64
 }
+
+// The sbrk region is backed by fixed-size chunks: chunk i holds addresses
+// [i<<chunkShift, (i+1)<<chunkShift). Sbrk appends chunks as the break
+// grows and nothing ever copies or frees one, so the host memory behind a
+// heap is its break high-water rounded up to a chunk, and a byte stays at
+// one host address for the heap's lifetime. A chunk is a multiple of 4
+// bytes, so an aligned word never straddles two chunks.
+const (
+	chunkShift = 16
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
 
 // base is the lowest address handed out by Sbrk. Address 0 is reserved,
 // and keeping the first Align bytes unused means every valid address is
@@ -118,16 +132,8 @@ func (h *Heap) Sbrk(n int64) (Addr, error) {
 	if h.cfg.Limit > 0 && h.footprint()+n > h.cfg.Limit {
 		return Nil, ErrOutOfMemory
 	}
-	// Grow backing store geometrically (in whole pages) so repeated
-	// small extensions stay amortized O(1).
-	if need := newBrk; need > int64(len(h.mem)) {
-		if dbl := int64(len(h.mem)) * 2; need < dbl {
-			need = dbl
-		}
-		pages := (need + h.cfg.PageSize - 1) / h.cfg.PageSize
-		grown := make([]byte, pages*h.cfg.PageSize)
-		copy(grown, h.mem)
-		h.mem = grown
+	for int64(len(h.chunks))<<chunkShift < newBrk {
+		h.chunks = append(h.chunks, new([chunkSize]byte))
 	}
 	h.brk = Addr(newBrk)
 	h.setSpan()
@@ -149,14 +155,10 @@ func (h *Heap) ShrinkBrk(n int64) error {
 	h.brk -= Addr(n)
 	h.setSpan()
 	// Poison the released range so use-after-release shows up in tests.
-	// Sbrk regrows into these bytes and Checksum covers them. The fill
-	// doubles a copy rather than storing byte by byte.
-	if lo := int64(h.brk); lo < int64(len(h.mem)) {
-		poison := h.mem[lo:min(lo+n, int64(len(h.mem)))]
-		poison[0] = 0xDD
-		for k := 1; k < len(poison); k *= 2 {
-			copy(poison[k:], poison[:k])
-		}
+	// The chunks behind it stay: Sbrk regrows into these bytes and
+	// Checksum covers them.
+	for s := range h.pieces(h.brk, n) {
+		fillBytes(s, 0xDD)
 	}
 	h.nShrink++
 	return nil
@@ -235,21 +237,50 @@ func (h *Heap) InSbrkRegion(addr Addr) bool {
 	return addr >= base && addr < h.brk
 }
 
-// locate returns the backing slice and offset for addr, ensuring n bytes
-// are accessible. The sbrk-region check is the fast path; segment lookups
-// go through a last-hit cache before the binary search. Error construction
-// lives out-of-line (badAddress) so locate's callers stay inline-friendly.
-func (h *Heap) locate(addr Addr, n int64) ([]byte, int64, error) {
-	if addr >= base && int64(addr)+n <= int64(h.brk) {
-		return h.mem, int64(addr), nil
+// inBrk reports whether the n bytes at addr lie below the break.
+func (h *Heap) inBrk(addr Addr, n int64) bool {
+	return addr >= base && int64(addr)+n <= int64(h.brk)
+}
+
+// pieces yields the backing bytes of the n bytes at addr in the sbrk
+// region, one slice per chunk, in address order. The caller has checked
+// that the range is backed: below the break, or released by ShrinkBrk.
+func (h *Heap) pieces(addr Addr, n int64) iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		for n > 0 {
+			s := h.chunks[addr>>chunkShift][addr&chunkMask:]
+			if int64(len(s)) > n {
+				s = s[:n]
+			}
+			if !yield(s) {
+				return
+			}
+			addr += Addr(len(s))
+			n -= int64(len(s))
+		}
+	}
+}
+
+// locate returns the n contiguous bytes at addr: a range below the break
+// that lies inside one chunk, or a range inside one mapped segment.
+// Segment lookups go through a last-hit cache before the binary search.
+// Error construction lives out-of-line (badAddress) so locate's callers
+// stay inline-friendly.
+func (h *Heap) locate(addr Addr, n int64) ([]byte, error) {
+	if h.inBrk(addr, n) {
+		off := int64(addr & chunkMask)
+		if off+n <= chunkSize {
+			return h.chunks[addr>>chunkShift][off : off+n], nil
+		}
+		return nil, spansChunks(addr, n)
 	}
 	if s := h.seg(addr); s != nil {
 		off := int64(addr) - int64(s.base)
 		if off+n <= s.size {
-			return s.mem, off, nil
+			return s.mem[off : off+n], nil
 		}
 	}
-	return nil, 0, badAddress(addr, n)
+	return nil, badAddress(addr, n)
 }
 
 // seg returns the mapped segment containing addr, or nil. The last hit is
@@ -276,25 +307,44 @@ func badAddress(addr Addr, n int64) error {
 	return fmt.Errorf("%w: %#x (+%d)", ErrBadAddress, addr, n)
 }
 
-// U32 reads a little-endian 32-bit field at addr, which must lie in the
-// sbrk region: mapped segments are reached through Bytes. The single
-// unsigned compare folds the lower and upper bound checks: addr < base
-// underflows to a value above span4.
-func (h *Heap) U32(addr Addr) uint32 {
-	if addr-base >= h.span4 {
-		h.fault.addr = addr
-		panic(&h.fault)
-	}
-	return binary.LittleEndian.Uint32(h.mem[addr:])
+//go:noinline
+func spansChunks(addr Addr, n int64) error {
+	return fmt.Errorf("heap: Bytes %#x (+%d) spans a chunk boundary of the sbrk region; use Fill or Copy", addr, n)
 }
 
-// PutU32 writes a little-endian 32-bit field at addr in the sbrk region.
-func (h *Heap) PutU32(addr Addr, v uint32) {
-	if addr-base >= h.span4 {
-		h.fault.addr = addr
-		panic(&h.fault)
+// U32 reads a little-endian 32-bit field at addr, which must lie in the
+// sbrk region: mapped segments are reached through Bytes. The first
+// unsigned compare folds the lower and upper bound checks: addr < base
+// underflows to a value above span4. The second rejects a word that would
+// straddle two chunks, which no aligned word does.
+func (h *Heap) U32(addr Addr) uint32 {
+	if addr-base >= h.span4 || addr&chunkMask > chunkSize-4 {
+		h.faultAddr = addr
+		panic((*wordFault)(h))
 	}
-	binary.LittleEndian.PutUint32(h.mem[addr:], v)
+	return binary.LittleEndian.Uint32(h.chunks[addr>>chunkShift][addr&chunkMask:])
+}
+
+// PutU32 writes a little-endian 32-bit field at addr in the sbrk region,
+// under the same checks as U32.
+func (h *Heap) PutU32(addr Addr, v uint32) {
+	if addr-base >= h.span4 || addr&chunkMask > chunkSize-4 {
+		h.faultAddr = addr
+		panic((*wordFault)(h))
+	}
+	binary.LittleEndian.PutUint32(h.chunks[addr>>chunkShift][addr&chunkMask:], v)
+}
+
+// PutBits rewrites the bits of the 32-bit field at addr that mask selects
+// to those of v and keeps the others, under the same checks as U32. It is
+// a read-modify-write that finds the word once.
+func (h *Heap) PutBits(addr Addr, mask, v uint32) {
+	if addr-base >= h.span4 || addr&chunkMask > chunkSize-4 {
+		h.faultAddr = addr
+		panic((*wordFault)(h))
+	}
+	w := h.chunks[addr>>chunkShift][addr&chunkMask:]
+	binary.LittleEndian.PutUint32(w, binary.LittleEndian.Uint32(w)&^mask|v&mask)
 }
 
 // Ptr reads an in-band address field at addr in the sbrk region.
@@ -303,35 +353,68 @@ func (h *Heap) Ptr(addr Addr) Addr { return Addr(h.U32(addr)) }
 // PutPtr writes an in-band address field at addr in the sbrk region.
 func (h *Heap) PutPtr(addr Addr, v Addr) { h.PutU32(addr, uint32(v)) }
 
-// wordFault is the panic value of a word access outside the sbrk region.
-// The heap keeps one and the word accessors panic with a pointer to it,
-// so the failing branch builds no value and the accessors stay inline
-// and escape-free. A later fault on the same heap overwrites the address
-// it names.
-type wordFault struct{ addr Addr }
+// wordFault is the panic value of a word access outside the sbrk region
+// or across a chunk boundary: the heap itself, seen as an error naming
+// faultAddr. The failing branch stores the address and converts a
+// pointer, so it builds no value and the accessors stay inline and
+// escape-free. A later fault on the same heap overwrites the address it
+// names.
+type wordFault Heap
 
 func (f *wordFault) Error() string {
-	return fmt.Sprintf("%v: %#x (+4) outside the sbrk region", ErrBadAddress, f.addr)
+	return fmt.Sprintf("%v: %#x (+4) outside the sbrk region or across a chunk", ErrBadAddress, f.faultAddr)
 }
 
 // Unwrap makes errors.Is(fault, ErrBadAddress) hold.
 func (f *wordFault) Unwrap() error { return ErrBadAddress }
 
-// Bytes returns a mutable view of n bytes at addr. The view is only valid
-// until the next Sbrk/Map call.
+// Bytes returns a mutable view of the n bytes at addr, which must lie
+// inside one mapped segment or inside one chunk of the sbrk region: a
+// break-region range that spans chunks has no contiguous view, and Fill
+// and Copy serve it. A break-region view stays valid while the bytes lie
+// below the break; a segment view, until the segment is unmapped.
 func (h *Heap) Bytes(addr Addr, n int64) []byte {
-	m, off, err := h.locate(addr, n)
+	s, err := h.locate(addr, n)
 	if err != nil {
 		panic(err)
 	}
-	return m[off : off+n]
+	return s
 }
 
-// Fill sets n bytes at addr to b; used by tests to detect overlap.
+// Fill sets n bytes at addr to b; used by tests to detect overlap. A
+// break-region range may span chunks.
 func (h *Heap) Fill(addr Addr, n int64, b byte) {
-	s := h.Bytes(addr, n)
-	for i := range s {
-		s[i] = b
+	if !h.inBrk(addr, n) {
+		fillBytes(h.Bytes(addr, n), b)
+		return
+	}
+	for s := range h.pieces(addr, n) {
+		fillBytes(s, b)
+	}
+}
+
+// Copy returns a copy of the n bytes at addr, which may span chunks of
+// the sbrk region; used by tests to check payloads.
+func (h *Heap) Copy(addr Addr, n int64) []byte {
+	if !h.inBrk(addr, n) {
+		return append([]byte(nil), h.Bytes(addr, n)...)
+	}
+	out := make([]byte, 0, n)
+	for s := range h.pieces(addr, n) {
+		out = append(out, s...)
+	}
+	return out
+}
+
+// fillBytes sets every byte of s to b, doubling a copy rather than
+// storing byte by byte.
+func fillBytes(s []byte, b byte) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = b
+	for k := 1; k < len(s); k *= 2 {
+		copy(s[k:], s[:k])
 	}
 }
 
@@ -342,8 +425,8 @@ func (h *Heap) Fill(addr Addr, n int64, b byte) {
 func (h *Heap) Checksum() uint64 {
 	sum := uint64(fnvOffset)
 	sum = fnvWord(sum, uint64(h.brk))
-	if h.brk > base {
-		sum = fnvBytes(sum, h.mem[base:h.brk])
+	for s := range h.pieces(base, int64(h.brk-base)) {
+		sum = fnvBytes(sum, s)
 	}
 	sum = fnvWord(sum, uint64(len(h.segs)))
 	for _, s := range h.segs {

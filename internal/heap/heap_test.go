@@ -2,8 +2,12 @@ package heap
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -88,32 +92,128 @@ func TestShrinkBrkValidation(t *testing.T) {
 
 // TestShrinkBrkPoisonsReleasedBytes checks that every released byte, and
 // only those, reads 0xDD once Sbrk regrows into it, for release sizes
-// that are and are not powers of two.
+// that are and are not powers of two, and for releases that cross one
+// or two chunk boundaries.
 func TestShrinkBrkPoisonsReleasedBytes(t *testing.T) {
-	for _, release := range []int64{8, 64, 296, 1000} {
+	for _, tc := range []struct{ total, release int64 }{
+		{1024, 8}, {1024, 64}, {1024, 296}, {1024, 1000},
+		{3 * chunkSize, chunkSize + 8},
+		{3 * chunkSize, 2*chunkSize + 296},
+	} {
 		h := New(Config{})
-		a, err := h.Sbrk(1024)
+		a, err := h.Sbrk(tc.total)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for off := Addr(0); off < 1024; off += 4 {
+		for off := Addr(0); off < Addr(tc.total); off += 4 {
 			h.PutU32(a+off, 0x01020304)
 		}
-		if err := h.ShrinkBrk(release); err != nil {
+		if err := h.ShrinkBrk(tc.release); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Sbrk(release); err != nil {
+		if _, err := h.Sbrk(tc.release); err != nil {
 			t.Fatal(err)
 		}
-		keep := Addr(1024 - release)
-		for off := Addr(0); off < 1024; off += 4 {
+		keep := Addr(tc.total - tc.release)
+		for off := Addr(0); off < Addr(tc.total); off += 4 {
 			want := uint32(0x01020304)
 			if off >= keep {
 				want = 0xDDDDDDDD
 			}
 			if got := h.U32(a + off); got != want {
-				t.Fatalf("release %d: word at +%d = %#x, want %#x", release, off, got, want)
+				t.Fatalf("total %d, release %d: word at +%d = %#x, want %#x", tc.total, tc.release, off, got, want)
 			}
+		}
+	}
+}
+
+// TestChunkBoundaryWords writes the last word of each chunk and the
+// first word of the next, reads them back through U32 and byte by byte,
+// and checks that every word straddling the boundary faults with
+// ErrBadAddress naming its address and leaves both chunks untouched.
+func TestChunkBoundaryWords(t *testing.T) {
+	h := New(Config{})
+	if _, err := h.Sbrk(3 * chunkSize); err != nil {
+		t.Fatal(err)
+	}
+	for k := Addr(1); k <= 2; k++ {
+		edge := k * chunkSize
+		last, first := uint32(0xA0B0C0D0)+uint32(k), uint32(0x01020304)+uint32(k)
+		h.PutU32(edge-4, last)
+		h.PutU32(edge, first)
+		h.PutBits(edge, 0xFF00, 0xEE00)
+		first = first&^0xFF00 | 0xEE00
+		if got := h.U32(edge - 4); got != last || refU32(h, edge-4) != last {
+			t.Errorf("last word of chunk %d = %#x, want %#x", k-1, got, last)
+		}
+		if got := h.U32(edge); got != first || refU32(h, edge) != first {
+			t.Errorf("first word of chunk %d = %#x, want %#x", k, got, first)
+		}
+		for _, a := range []Addr{edge - 3, edge - 2, edge - 1} {
+			for _, acc := range []struct {
+				name string
+				f    func(Addr)
+			}{
+				{"U32", func(a Addr) { h.U32(a) }},
+				{"PutU32", func(a Addr) { h.PutU32(a, 0xFFFFFFFF) }},
+				{"PutBits", func(a Addr) { h.PutBits(a, 0xFFFFFFFF, 0xFFFFFFFF) }},
+			} {
+				err := faultOf(func() { acc.f(a) })
+				if !errors.Is(err, ErrBadAddress) {
+					t.Errorf("%s straddling chunk %d at %#x: panic %v, want ErrBadAddress", acc.name, k, a, err)
+				} else if want := fmt.Sprintf("%#x", a); !strings.Contains(err.Error(), want) {
+					t.Errorf("%s at %#x: %q does not name %s", acc.name, a, err, want)
+				}
+			}
+		}
+		if got := refU32(h, edge-4); got != last {
+			t.Errorf("last word of chunk %d = %#x after rejected writes, want %#x", k-1, got, last)
+		}
+		if got := refU32(h, edge); got != first {
+			t.Errorf("first word of chunk %d = %#x after rejected writes, want %#x", k, got, first)
+		}
+	}
+	if err := faultOf(func() { h.Bytes(chunkSize-4, 8) }); err == nil {
+		t.Error("Bytes across a chunk boundary returned a view")
+	}
+	if got := h.Copy(chunkSize-4, 8); binary.LittleEndian.Uint32(got) != 0xA0B0C0D1 {
+		t.Errorf("Copy across the boundary = % x", got)
+	}
+}
+
+// TestSbrkAllocatesChunksOnly pins the host cost of growing the break:
+// small Sbrk steps up to n bytes allocate the chunks that cover n and
+// the chunk table, nothing more, and never move a byte once written. A
+// store that grew by doubling and copying would allocate about 2n and
+// move every byte on each copy.
+func TestSbrkAllocatesChunksOnly(t *testing.T) {
+	const n = 40*chunkSize + 1000
+	h := New(Config{})
+	// first is the lowest owned address in chunk i; starts holds the
+	// host address of each chunk's first byte as the break reaches it.
+	first := func(i int) Addr { return max(Addr(i)*chunkSize, Base()) }
+	starts := make([]*byte, 0, n/chunkSize+1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for h.Brk() < n {
+		if _, err := h.Sbrk(200); err != nil {
+			t.Fatal(err)
+		}
+		for first(len(starts)) < h.Brk() {
+			starts = append(starts, &h.Bytes(first(len(starts)), 1)[0])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// The slack covers the chunk table, a pointer per chunk regrown by
+	// append, and the runtime's own small allocations meanwhile.
+	const slack = 16 << 10
+	limit := int64(n+chunkSize-1)/chunkSize*chunkSize + slack
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got > limit {
+		t.Errorf("growing the break to %d bytes allocated %d bytes, want at most %d", n, got, limit)
+	}
+	for i, p := range starts {
+		if q := &h.Bytes(first(i), 1)[0]; p != q {
+			t.Fatalf("chunk %d moved from %p to %p", i, p, q)
 		}
 	}
 }
@@ -265,7 +365,7 @@ func TestQuickDisjointWrites(t *testing.T) {
 			h.Fill(r.addr, r.n, byte(i+1))
 		}
 		for i, r := range regs {
-			for _, b := range h.Bytes(r.addr, r.n) {
+			for _, b := range h.Copy(r.addr, r.n) {
 				if b != byte(i+1) {
 					return false
 				}
@@ -312,7 +412,8 @@ func TestQuickFootprintMonotoneMax(t *testing.T) {
 	}
 }
 
-// refChecksum is Checksum written over hash/fnv, one byte at a time.
+// refChecksum is Checksum written over hash/fnv, one byte at a time,
+// each read through its own Bytes view.
 func refChecksum(h *Heap) uint64 {
 	sum := fnv.New64a()
 	var scratch [8]byte
@@ -321,8 +422,8 @@ func refChecksum(h *Heap) uint64 {
 		sum.Write(scratch[:])
 	}
 	word(uint64(h.brk))
-	if h.brk > base {
-		sum.Write(h.mem[base:h.brk])
+	for a := base; a < h.brk; a++ {
+		sum.Write(h.Bytes(a, 1))
 	}
 	word(uint64(len(h.segs)))
 	for _, s := range h.segs {
@@ -336,7 +437,8 @@ func refChecksum(h *Heap) uint64 {
 // TestChecksumMatchesFNV holds Checksum, which folds all-zero words as
 // one multiply, to FNV-1a from hash/fnv: over buffers with a zero run of
 // every length from 0 to 24 at every start offset mod 8, and over heaps
-// with such runs in the break region and in mapped segments.
+// with such runs in the break region and in mapped segments. The break
+// region grows over three chunks, with zero runs across the boundaries.
 func TestChecksumMatchesFNV(t *testing.T) {
 	if got, want := fnvBytes(fnvOffset, nil), fnv.New64a().Sum64(); got != want {
 		t.Fatalf("empty input: %#x, want %#x", got, want)
@@ -374,7 +476,7 @@ func TestChecksumMatchesFNV(t *testing.T) {
 			n = rng.Int63n(3000) + 1
 			a, err = h.Map(n)
 		} else {
-			n = rng.Int63n(300) + 1
+			n = rng.Int63n(20000) + 1
 			a, err = h.Sbrk(n)
 		}
 		if err != nil {
@@ -386,5 +488,15 @@ func TestChecksumMatchesFNV(t *testing.T) {
 	}
 	if len(h.segs) == 0 {
 		t.Fatal("no mapped segment was checked")
+	}
+	if h.Brk() <= 2*chunkSize {
+		t.Fatalf("break %#x spans fewer than three chunks", h.Brk())
+	}
+	for edge := Addr(chunkSize); edge < h.Brk(); edge += chunkSize {
+		for _, b := range h.Copy(edge-8, 16) {
+			if b != 0 {
+				t.Fatalf("no zero run across the chunk boundary at %#x", edge)
+			}
+		}
 	}
 }
