@@ -7,10 +7,11 @@
 // Heap: a growable arena with an sbrk-style program break plus mmap-like
 // side segments. The break region is backed by fixed-size host chunks
 // (64 KiB), added as the break grows and never copied, so simulating a
-// footprint costs about that footprint in host memory. Allocator metadata (block headers, footers, free-list
-// links) is stored in-band inside the arena, exactly as a C allocator
-// stores it in process memory, so per-block overhead, fragmentation and
-// footprint measurements are byte-accurate.
+// footprint costs about that footprint in host memory. Allocator
+// metadata (block headers, footers, free-list links) is stored in-band
+// inside the arena, exactly as a C allocator stores it in process
+// memory, so per-block overhead, fragmentation and footprint
+// measurements are byte-accurate.
 //
 // Addresses are 32-bit offsets (type Addr), matching the 32-bit embedded
 // targets the paper considers; in-band pointer fields therefore cost four
