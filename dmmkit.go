@@ -305,8 +305,11 @@ func SpaceSize() int { return core.SpaceSize() }
 // and workloads register by name, and every consumer (experiments, CLIs,
 // examples) constructs them through a lookup. The built-ins self-register:
 // managers "kingsley", "lea", "regions", "obstack", "custom" (the
-// methodology's per-phase global manager) and "designed" (one atomic
-// designed manager); workloads "drr", "recon3d" and "render3d".
+// methodology's manager: the single designed atomic manager when the
+// profile has one phase or its phases share memory, which covers all
+// three built-in workloads, and the per-phase global manager otherwise)
+// and "designed" (one atomic designed manager); workloads "drr",
+// "recon3d" and "render3d".
 type (
 	// ManagerCtor builds a fresh manager over a heap for a trace whose
 	// profile is given; either argument may be nil.

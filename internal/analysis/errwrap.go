@@ -18,7 +18,7 @@ import (
 //   - fmt.Errorf with an error-typed operand must wrap it with %w.
 //     Formatting a cause with %v (or %s) flattens it to text — the
 //     sentinel comparisons the trace/checkpoint/server layers depend on
-//     (errors.Is(err, heap.ErrOutOfMemory), IsTransient's Unwrap walk)
+//     (errors.Is(err, heap.ErrOutOfMemory), errors.As on a wrapped cause)
 //     silently stop seeing it. Deliberately breaking a chain (e.g. to
 //     freeze a user-facing message) is suppressed with
 //     `//dmmlint:allow errwrap <why>`.

@@ -8,6 +8,8 @@ import (
 	"dmmkit/internal/dspace"
 	"dmmkit/internal/heap"
 	"dmmkit/internal/mm"
+	"dmmkit/internal/profile"
+	"dmmkit/internal/registry"
 )
 
 // Vectors used across the tests.
@@ -129,6 +131,20 @@ func TestConformancePartitionVector(t *testing.T) {
 		}
 		return m
 	}, alloctest.Options{MaxSize: 32 << 10})
+}
+
+// TestConformanceRegistryCustom runs the suite on the registry-built
+// "custom" manager over the quick DRR profile, the atomic Custom that
+// Table 1 replays: a double, wild or bad free counts FailedOps once.
+func TestConformanceRegistryCustom(t *testing.T) {
+	p := profile.FromTrace(goldenVectorsTrace(t))
+	alloctest.Run(t, func() mm.Manager {
+		m, err := registry.NewManager("custom", nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}, alloctest.Options{})
 }
 
 func TestInvalidVectorRejected(t *testing.T) {

@@ -9,9 +9,7 @@
 // applied by NewReader as the stream passes through. RandomPlan derives
 // a plan deterministically from a seed, which is how the differential
 // suite sweeps a reproducible corpus of failure scenarios; targeted
-// tests build plans by hand. The injected transient errors carry the
-// Transient() marker trace.IsTransient honours, so retry paths can be
-// driven end to end.
+// tests build plans by hand.
 //
 // NewSource and NewOpener lift fault injection to the trace layer:
 // failing (or panicking) at a chosen event index, and failing a chosen
@@ -33,9 +31,8 @@ import (
 // it (via errors.Is) to tell injected failures from real ones.
 var ErrInjected = errors.New("faultio: injected I/O error")
 
-// TransientError is the retryable error injected transient faults
-// return. It implements the Transient() marker trace.IsTransient
-// recognizes.
+// TransientError is the error injected transient faults return: the
+// failing Read or Open succeeds if called again.
 type TransientError struct {
 	// Offset is the stream position at which the fault fired.
 	Offset int64
@@ -44,9 +41,6 @@ type TransientError struct {
 func (e *TransientError) Error() string {
 	return fmt.Sprintf("faultio: injected transient error at byte %d", e.Offset)
 }
-
-// Transient marks the error as retryable.
-func (e *TransientError) Transient() bool { return true }
 
 // Kind enumerates the injectable byte-stream faults.
 type Kind int
@@ -263,7 +257,7 @@ type OpenerFaults struct {
 // NewOpener wraps op with open-time fault injection. The attempt
 // counter is shared across goroutines (Open must be concurrency-safe),
 // so attempt-numbered faults are deterministic only for sequential
-// callers — which is what the retry tests use.
+// callers, which is how the tests use it.
 func NewOpener(op trace.Opener, f OpenerFaults) trace.Opener {
 	return &faultOpener{op: op, f: f}
 }

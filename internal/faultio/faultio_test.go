@@ -40,7 +40,7 @@ func TestReaderTransientFiresOnce(t *testing.T) {
 		t.Fatalf("first read = %d, %v; want 4, nil (stops before the fault)", n, err)
 	}
 	var te *TransientError
-	if _, err := r.Read(buf); !errors.As(err, &te) || !trace.IsTransient(err) {
+	if _, err := r.Read(buf); !errors.As(err, &te) {
 		t.Fatalf("second read err = %v, want a *TransientError", err)
 	}
 	rest, err := io.ReadAll(r)
@@ -319,8 +319,9 @@ func TestOpenerFaults(t *testing.T) {
 		HardAttempts:      []int{3},
 		Source:            func(s trace.Source) trace.Source { return NewSource(s, SourceFaults{FailAt: -1, PanicAt: -1}) },
 	})
-	if _, err := op.Open(); !trace.IsTransient(err) {
-		t.Fatalf("attempt 1 err = %v, want transient", err)
+	var te *TransientError
+	if _, err := op.Open(); !errors.As(err, &te) {
+		t.Fatalf("attempt 1 err = %v, want a *TransientError", err)
 	}
 	src, err := op.Open()
 	if err != nil {

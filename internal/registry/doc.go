@@ -6,6 +6,9 @@
 //
 // The built-ins self-register from their packages' init functions:
 // managers "kingsley", "lea", "regions", "obstack", "custom" (the
-// methodology's per-phase global manager) and "designed" (a single atomic
-// designed manager); workloads "drr", "recon3d" and "render3d".
+// methodology's manager: the single designed atomic manager when the
+// profile has one phase or its phases share memory, which covers all
+// three built-in workloads, and the per-phase global manager otherwise)
+// and "designed" (a single atomic designed manager); workloads "drr",
+// "recon3d" and "render3d".
 package registry

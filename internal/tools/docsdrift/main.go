@@ -7,6 +7,11 @@
 // experiment that ships undocumented, or a doc that still advertises a
 // removed experiment, breaks the build instead of rotting.
 //
+// It also fails when a -run or -skip pattern in the CI workflow names a
+// Test or Fuzz function that no _test.go file declares: `go test -run X`
+// passes with "no tests to run", so a renamed test would otherwise drop
+// out of its dedicated CI step unnoticed.
+//
 // Usage (from the module root):
 //
 //	go run ./internal/tools/docsdrift
@@ -34,10 +39,24 @@ var expUsage = regexp.MustCompile(`"experiment: ([a-z0-9, ]+)"`)
 // experiment name or a comma list of them, as in "-exp table1,figure5".
 var expFlag = regexp.MustCompile(`-exp[ =]([a-z0-9]+(?:,[a-z0-9]+)*)`)
 
-// surface is everything the docs must mention.
+// ciWorkflow is the CI workflow whose -run/-skip patterns must name
+// declared tests, relative to the module root.
+const ciWorkflow = ".github/workflows/ci.yml"
+
+// runFlag matches a go test -run or -skip flag, capturing its pattern
+// (quoted or bare).
+var runFlag = regexp.MustCompile(`(?:^|\s)-(?:run|skip)[ =]('[^']*'|"[^"]*"|\S+)`)
+
+// testDecl matches a top-level Test or Fuzz function declaration.
+var testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+
+// surface is everything the docs must mention, plus the CI workflow
+// and the tests its -run/-skip patterns may name.
 type surface struct {
-	commands    []string // cmd/* directory names
-	experiments []string // dmmbench -exp names, "all" excluded
+	commands    []string        // cmd/* directory names
+	experiments []string        // dmmbench -exp names, "all" excluded
+	workflow    string          // the text of ciWorkflow
+	tests       map[string]bool // declared Test and Fuzz functions
 }
 
 // readSurface derives the command surface from the source tree.
@@ -71,7 +90,14 @@ func readSurface(root string) (surface, error) {
 	if len(s.experiments) == 0 {
 		return s, fmt.Errorf("cmd/dmmbench/main.go: -exp usage string lists no experiments")
 	}
-	return s, nil
+
+	workflow, err := os.ReadFile(filepath.Join(root, ciWorkflow))
+	if err != nil {
+		return s, err
+	}
+	s.workflow = string(workflow)
+	s.tests, err = declaredTests(root)
+	return s, err
 }
 
 // doc is one user-facing document.
@@ -106,8 +132,8 @@ func readDocs(root string) ([]doc, error) {
 }
 
 // drift returns every way docs and the surface disagree: a command or
-// experiment the docs never mention, and an -exp name the docs give
-// that dmmbench does not have.
+// experiment the docs never mention, an -exp name the docs give that
+// dmmbench does not have, and a CI -run/-skip name no test has.
 func drift(s surface, docs []doc) []string {
 	var all strings.Builder
 	for _, d := range docs {
@@ -143,6 +169,56 @@ func drift(s surface, docs []doc) []string {
 			}
 		}
 	}
+	return append(problems, staleRuns(s.workflow, s.tests)...)
+}
+
+// declaredTests returns the names of every Test and Fuzz function the
+// module's _test.go files declare, skipping hidden and third_party
+// directories.
+func declaredTests(root string) (map[string]bool, error) {
+	names := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "third_party") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testDecl.FindAllSubmatch(src, -1) {
+			names[string(m[1])] = true
+		}
+		return nil
+	})
+	return names, err
+}
+
+// staleRuns returns every Test or Fuzz name that a -run or -skip pattern
+// in the CI workflow's text gives and that declared lacks. A pattern splits on
+// "|"; each alternative loses its ^/$ anchors and any /subtest part, and
+// alternatives that do not start with Test or Fuzz (such as '^$') are
+// not names.
+func staleRuns(workflow string, declared map[string]bool) []string {
+	var problems []string
+	for i, line := range strings.Split(workflow, "\n") {
+		for _, m := range runFlag.FindAllStringSubmatch(line, -1) {
+			for _, alt := range strings.Split(strings.Trim(m[1], `'"`), "|") {
+				name, _, _ := strings.Cut(strings.Trim(alt, "^$"), "/")
+				if (strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Fuzz")) && !declared[name] {
+					problems = append(problems, fmt.Sprintf("%s:%d: %s names no declared test", ciWorkflow, i+1, name))
+				}
+			}
+		}
+	}
 	return problems
 }
 
@@ -172,5 +248,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("docsdrift: %d commands and %d experiments all documented\n", len(s.commands), len(s.experiments))
+	fmt.Printf("docsdrift: %d commands and %d experiments all documented; every CI -run/-skip name is declared\n", len(s.commands), len(s.experiments))
 }

@@ -26,3 +26,23 @@ func TestDriftFlagsStaleExperiments(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleRunsFlagsUndeclaredNames checks that a -run or -skip pattern
+// naming a test no file declares is flagged, alone or as one alternative,
+// while anchors, subtests and the '^$' pattern are read correctly.
+func TestStaleRunsFlagsUndeclaredNames(t *testing.T) {
+	declared := map[string]bool{"TestA": true, "TestB": true, "FuzzC": true}
+	for _, tc := range []struct {
+		name     string
+		workflow string
+		want     []string
+	}{
+		{"clean", "go test -run 'TestA|^TestB$' -v ./x\ngo test -run FuzzC ./y\ngo test -run '^$' -bench Micro ./...\ngo test -skip \"TestA/sub\" ./...", nil},
+		{"renamed", "go test -run TestA ./x\ngo test -race -run 'TestB|TestGone$' ./y", []string{".github/workflows/ci.yml:2: TestGone names no declared test"}},
+		{"skip", "go test -skip=FuzzGone ./...", []string{".github/workflows/ci.yml:1: FuzzGone names no declared test"}},
+	} {
+		if got := staleRuns(tc.workflow, declared); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: staleRuns = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 )
 
 // DecodeBinarySource returns a Source that decodes a DMMT2 trace from r
@@ -444,36 +445,38 @@ type File struct {
 	opts FileOpts
 }
 
-// OpenFile probes path's header and returns a File. Transient open and probe failures (see
-// IsTransient) are retried under DefaultRetry — a long exploration
-// should not die to one interrupted syscall; use OpenFileWith to tune
-// or disable that.
-func OpenFile(path string) (*File, error) {
-	return OpenFileWith(path, FileOpts{Retry: DefaultRetry})
+// FileOpts customizes how OpenFileWith (and the *File it returns) reach
+// the underlying file — the seam fault-injection tests and exotic
+// storage backends hook into.
+type FileOpts struct {
+	// Open replaces os.Open for both the header probe and every
+	// (*File).Open pass. Nil means os.Open.
+	Open func(path string) (io.ReadCloser, error)
 }
 
-// OpenFileWith is OpenFile with explicit seams: opts.Open replaces
-// os.Open (for every pass, not just the probe) and opts.Retry bounds
-// how transient failures are retried.
+func (o FileOpts) open(path string) (io.ReadCloser, error) {
+	if o.Open != nil {
+		return o.Open(path)
+	}
+	return os.Open(path)
+}
+
+// OpenFile probes path's header and returns a File.
+func OpenFile(path string) (*File, error) { return OpenFileWith(path, FileOpts{}) }
+
+// OpenFileWith is OpenFile with an explicit seam: opts.Open replaces
+// os.Open for every pass, not just the probe.
 func OpenFileWith(path string, opts FileOpts) (*File, error) {
-	f := &File{path: path, opts: opts}
-	err := opts.Retry.retry(func() error {
-		fh, err := opts.open(path)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = fh.Close() }() // header probe: read-only pass
-		src, err := DecodeBinarySource(fh)
-		if err != nil {
-			return fmt.Errorf("trace: %s: %w", path, err)
-		}
-		f.name = src.Name()
-		return nil
-	})
+	fh, err := opts.open(path)
 	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	defer func() { _ = fh.Close() }() // header probe: read-only pass
+	src, err := DecodeBinarySource(fh)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	}
+	return &File{path: path, name: src.Name(), opts: opts}, nil
 }
 
 // Name returns the trace name recorded in the file header.
@@ -482,27 +485,18 @@ func (f *File) Name() string { return f.name }
 // Open implements Opener: it opens a fresh handle on the file and
 // returns a streaming source over it. The source closes the handle when
 // the stream ends (exhaustion or decode error); abandon it early with
-// Close. Open is safe for concurrent use. Transient open and header
-// failures retry under the File's policy (see OpenFileWith); handles are
-// never leaked on an error path.
+// Close. Open is safe for concurrent use, and never leaks a handle on
+// an error path.
 func (f *File) Open() (Source, error) {
-	var src Source
-	err := f.opts.Retry.retry(func() error {
-		fh, err := f.opts.open(f.path)
-		if err != nil {
-			return err
-		}
-		s, err := DecodeBinarySource(fh)
-		if err != nil {
-			_ = fh.Close() // the decode error is the one to surface
-			return fmt.Errorf("trace: %s: %w", f.path, err)
-		}
-		s.(*binarySource).c = fh
-		src = s
-		return nil
-	})
+	fh, err := f.opts.open(f.path)
 	if err != nil {
 		return nil, err
 	}
+	src, err := DecodeBinarySource(fh)
+	if err != nil {
+		_ = fh.Close() // the decode error is the one to surface
+		return nil, fmt.Errorf("trace: %s: %w", f.path, err)
+	}
+	src.(*binarySource).c = fh
 	return src, nil
 }

@@ -3,47 +3,15 @@ package trace
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"dmmkit/internal/heap"
 	"dmmkit/internal/mm"
 )
-
-// transientErr is a minimal error carrying the Transient marker.
-type transientErr struct{ msg string }
-
-func (e transientErr) Error() string   { return e.msg }
-func (e transientErr) Transient() bool { return true }
-
-func TestIsTransient(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{errors.New("plain"), false},
-		{os.ErrNotExist, false},
-		{transientErr{"busy"}, true},
-		{fmt.Errorf("opening: %w", transientErr{"busy"}), true},
-		{syscall.EINTR, true},
-		{syscall.EAGAIN, true},
-		{fmt.Errorf("read: %w", syscall.EINTR), true},
-		{syscall.ENOENT, false},
-	}
-	for _, tc := range cases {
-		if got := IsTransient(tc.err); got != tc.want {
-			t.Errorf("IsTransient(%v) = %v, want %v", tc.err, got, tc.want)
-		}
-	}
-}
 
 // writeSampleFile encodes sampleTrace to a DMMT2 file and returns its
 // path and encoded bytes.
@@ -58,75 +26,6 @@ func writeSampleFile(t *testing.T) (string, []byte) {
 		t.Fatal(err)
 	}
 	return path, buf.Bytes()
-}
-
-func TestOpenFileRetriesTransient(t *testing.T) {
-	path, _ := writeSampleFile(t)
-	fails := 2
-	opens := 0
-	var slept []time.Duration
-	f, err := OpenFileWith(path, FileOpts{
-		Open: func(p string) (io.ReadCloser, error) {
-			opens++
-			if fails > 0 {
-				fails--
-				return nil, transientErr{"disk momentarily busy"}
-			}
-			return os.Open(p)
-		},
-		Retry: RetryPolicy{
-			Attempts: 3,
-			Backoff:  10 * time.Millisecond,
-			Sleep:    func(d time.Duration) { slept = append(slept, d) },
-		},
-	})
-	if err != nil {
-		t.Fatalf("OpenFileWith: %v", err)
-	}
-	if opens != 3 {
-		t.Errorf("opened %d times, want 3", opens)
-	}
-	if want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}; len(slept) != 2 ||
-		slept[0] != want[0] || slept[1] != want[1] {
-		t.Errorf("backoff sleeps = %v, want %v", slept, want)
-	}
-	if f.Name() != sampleTrace().Name {
-		t.Errorf("Name = %q, want %q", f.Name(), sampleTrace().Name)
-	}
-}
-
-func TestOpenFileRetryGivesUp(t *testing.T) {
-	opens := 0
-	_, err := OpenFileWith("irrelevant", FileOpts{
-		Open: func(string) (io.ReadCloser, error) {
-			opens++
-			return nil, transientErr{"still busy"}
-		},
-		Retry: RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "still busy") {
-		t.Fatalf("err = %v, want the transient failure after retries", err)
-	}
-	if opens != 3 {
-		t.Errorf("opened %d times, want 3", opens)
-	}
-}
-
-func TestOpenFileHardFailureNotRetried(t *testing.T) {
-	opens := 0
-	_, err := OpenFileWith(filepath.Join(t.TempDir(), "missing.dmmt"), FileOpts{
-		Open: func(p string) (io.ReadCloser, error) {
-			opens++
-			return os.Open(p)
-		},
-		Retry: RetryPolicy{Attempts: 5, Sleep: func(time.Duration) {}},
-	})
-	if err == nil {
-		t.Fatal("opening a missing file succeeded")
-	}
-	if opens != 1 {
-		t.Errorf("opened %d times, want 1 (ENOENT is not transient)", opens)
-	}
 }
 
 // countingHandles is the counting opener of the leak tests: it tracks

@@ -9,8 +9,9 @@ import (
 	"dmmkit/internal/trace"
 )
 
-// Fault-tolerance types: panic isolation, checkpoint/resume, transient
-// I/O retry. See ARCHITECTURE.md "Failure semantics & recovery".
+// Fault-tolerance types: panic isolation, checkpoint/resume, an
+// injectable trace-file opener. See ARCHITECTURE.md "Failure semantics &
+// recovery".
 type (
 	// ErrorPolicy selects what a panicking candidate evaluation does to
 	// an exploration run: FailFast aborts it, SkipAndRecord converts the
@@ -28,11 +29,8 @@ type (
 	// TraceIdentity pins the input a checkpoint belongs to (file content
 	// hash, or workload name + seed + quick).
 	TraceIdentity = checkpoint.TraceIdentity
-	// TraceFileOpts configures OpenTraceFileWith (injectable opener,
-	// retry policy for transient open failures).
+	// TraceFileOpts configures OpenTraceFileWith (an injectable opener).
 	TraceFileOpts = trace.FileOpts
-	// RetryPolicy bounds retry-with-backoff for transient I/O failures.
-	RetryPolicy = trace.RetryPolicy
 )
 
 // The two candidate-error policies (see ExploreOpts.OnCandidateError).
@@ -87,13 +85,8 @@ func SinkWithContext(ctx context.Context, sink EventSink) EventSink {
 	return trace.SinkWithContext(ctx, sink)
 }
 
-// OpenTraceFileWith is OpenTraceFile with explicit fault-tolerance
-// options: a retry policy for transient open/probe failures and an
-// injectable opener (used by the fault-injection tests).
+// OpenTraceFileWith is OpenTraceFile with an injectable opener (used by
+// the fault-injection tests).
 func OpenTraceFileWith(path string, opts TraceFileOpts) (*TraceFile, error) {
 	return trace.OpenFileWith(path, opts)
 }
-
-// IsTransient reports whether an I/O error is worth retrying: it
-// unwraps to EINTR/EAGAIN or to any error exposing Transient() bool.
-func IsTransient(err error) bool { return trace.IsTransient(err) }
