@@ -312,3 +312,45 @@ func BenchmarkMicro_CustomOrderedLists(b *testing.B) {
 		})
 	}
 }
+
+// Unsorted free lists: the quick DRR trace replayed against LIFO and FIFO
+// custom managers under first and best fit. None coalesces or splits, so
+// the single pool's list grows past the probe budget and every search
+// runs the budget out or stops at a fit deep in the list.
+func BenchmarkMicro_CustomUnsortedLists(b *testing.B) {
+	tr, _ := workloadTrace(b, experiments.WorkloadDRR)
+	base := dspace.Vector{
+		BlockStructure: dspace.DoublyLinked,
+		BlockSizes:     dspace.ManyVarSizes,
+		BlockTags:      dspace.HeaderTag,
+		RecordedInfo:   dspace.RecordSize,
+		Flex:           dspace.NoFlex,
+		PoolDivision:   dspace.SinglePool,
+		PoolRange:      dspace.AnyRange,
+	}
+	for _, order := range []struct {
+		name string
+		leaf dspace.Leaf
+	}{{"lifo", dspace.LIFOOrder}, {"fifo", dspace.FIFOOrder}} {
+		for _, fit := range []struct {
+			name string
+			leaf dspace.Leaf
+		}{{"first", dspace.FirstFit}, {"best", dspace.BestFit}} {
+			vec := base
+			vec.FreeOrder, vec.Fit = order.leaf, fit.leaf
+			b.Run(order.name+"-"+fit.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m, err := dmmkit.NewCustom(dmmkit.NewHeap(), vec, dmmkit.Params{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := trace.Run(context.Background(), m, tr, trace.RunOpts{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Events)), "ns/event")
+			})
+		}
+	}
+}

@@ -21,7 +21,8 @@ type Custom struct {
 	vec dspace.Vector
 	par Params
 
-	tagged bool // layout carries in-band metadata (A3 != none)
+	tagged   bool // layout carries in-band metadata (A3 != none)
+	unsorted bool // free lists are LIFO or FIFO, mirrored in pool.ents
 
 	keys  []poolKey  // sorted by (phase, class)
 	pools []*pool    // parallel to keys
@@ -45,6 +46,13 @@ type Custom struct {
 	grossOf mm.AddrMap
 	freeKey mm.AddrMap
 
+	// Unsorted pools' mirrors: the slots a coalescing manager's free-block
+	// table names (slots[v-1] for value v), the released ones, and
+	// compaction's scratch buffer. See mirror.go.
+	slots      []mirrorSlot
+	freeSlots  []uint32
+	compactBuf []freeEnt
+
 	name string
 }
 
@@ -65,13 +73,14 @@ func NewCustom(h *heap.Heap, vec dspace.Vector, par Params) (*Custom, error) {
 	}
 	lay := layoutFor(vec)
 	return &Custom{
-		Base:    mm.NewBase(h, lay),
-		vec:     vec,
-		par:     par,
-		tagged:  lay.Tags != block.TagsNone,
-		grossOf: mm.NewAddrMap(h),
-		freeKey: mm.NewAddrMap(h),
-		name:    "Custom",
+		Base:     mm.NewBase(h, lay),
+		vec:      vec,
+		par:      par,
+		tagged:   lay.Tags != block.TagsNone,
+		unsorted: vec.BlockStructure != dspace.SizeSorted && vec.FreeOrder != dspace.AddressOrder,
+		grossOf:  mm.NewAddrMap(h),
+		freeKey:  mm.NewAddrMap(h),
+		name:     "Custom",
 	}, nil
 }
 
@@ -317,8 +326,8 @@ func (m *Custom) allocFromPools(phase int, class int64, gross int64) (heap.Addr,
 		if !r.ok {
 			return heap.Nil, 0, false
 		}
-		m.unlink(pl, r.b, r.sprev)
-		have := m.sizeOf(r.b)
+		m.unlink(pl, r.b, r.sprev, r.at)
+		have := r.size
 		if have > gross && m.maySplit(have, gross) {
 			m.split(r.b, have, gross)
 			have = gross
@@ -450,7 +459,7 @@ func (m *Custom) refill(phase int, class int64, gross int64) (heap.Addr, int64, 
 	for i := n - 1; i >= 1; i-- {
 		b := start + heap.Addr(i*gross)
 		m.initBlock(b, gross, i > 0)
-		m.insertFree(pl, b)
+		m.insertFree(pl, b, gross)
 	}
 	m.initBlock(start, gross, false)
 	return start, gross, nil
@@ -667,7 +676,7 @@ func (m *Custom) checkFreeLists() (map[heap.Addr]bool, error) {
 			}
 			n++
 			listed[b] = true
-			if id, ok := m.freeKey.Get(b); m.recordsFreePools() && (!ok || int(id) != pl.id+1) {
+			if id, ok := m.freeKey.Get(b); m.recordsFreePools() && !m.unsorted && (!ok || int(id) != pl.id+1) {
 				return nil, fail(b, "is listed but the free-block table names pool id+1 %d", id)
 			}
 			if m.doubleLinks() && m.V.PrevFree(b) != prev {
@@ -709,6 +718,11 @@ func (m *Custom) checkFreeLists() (map[heap.Addr]bool, error) {
 		if !slices.Equal(pl.runs, runs) || !slices.Equal(pl.addrs, addrs) {
 			return nil, fail(pl.head, "the sorted-list index disagrees with the list")
 		}
+		if m.unsorted {
+			if err := m.checkMirror(pl); err != nil {
+				return nil, err
+			}
+		}
 		if !roverListed {
 			return nil, fail(pl.rover, "is the rover but not on the list")
 		}
@@ -726,7 +740,77 @@ func (m *Custom) checkFreeLists() (map[heap.Addr]bool, error) {
 			return nil, fail(pl.deferred, "the deferred list holds %d of its %d blocks", n, pl.nDeferred)
 		}
 	}
+	if m.unsorted && m.recordsFreePools() && len(m.slots)-len(m.freeSlots) != len(listed) {
+		return nil, fmt.Errorf("core: %s: %d mirror slots in use for %d listed blocks", m.name, len(m.slots)-len(m.freeSlots), len(listed))
+	}
 	return listed, nil
+}
+
+// checkMirror requires an unsorted pool's mirror to hold its in-band
+// list, which checkFreeLists has walked and counted: the same blocks in
+// the same order with their gross sizes, live entries at both ends of the
+// window, well-formed runs of holes numbering the pool's count of them,
+// the rover's entry, and for a coalescing manager each block's slot in
+// the free-block table, naming this pool and the block's entry.
+func (m *Custom) checkMirror(pl *pool) error {
+	fail := func(b heap.Addr, format string, args ...any) error {
+		return m.poolError(pl, b, "mirror: "+fmt.Sprintf(format, args...))
+	}
+	ents, k, holes := pl.ents, pl.lo, 0
+	if k < 0 || k > len(ents) {
+		return fail(heap.Nil, "window starts at %d of %d entries", k, len(ents))
+	}
+	if m.recordsFreePools() && len(pl.slots) != len(ents) {
+		return fail(heap.Nil, "%d slots beside %d entries", len(pl.slots), len(ents))
+	}
+	if k < len(ents) && ents[k].size == 0 {
+		return fail(heap.Nil, "the window starts with a hole")
+	}
+	for b := pl.head; b != heap.Nil; b = m.V.NextFree(b) {
+		if k < len(ents) && ents[k].size == 0 {
+			run := int(ents[k].addr)
+			if run <= 0 || k+run >= len(ents) {
+				return fail(b, "a run of %d holes at entry %d overruns the window", run, k)
+			}
+			for j := k; j < k+run; j++ {
+				if ents[j].size != 0 {
+					return fail(b, "entry %d inside a run of holes is listed", j)
+				}
+			}
+			if last := ents[k+run-1]; last.addr != heap.Addr(run) {
+				return fail(b, "the run of holes at entry %d records %d at its first entry and %d at its last", k, run, last.addr)
+			}
+			holes += run
+			k += run
+		}
+		if k >= len(ents) {
+			return fail(b, "ends before the list")
+		}
+		e := ents[k]
+		if e.addr != b {
+			return fail(b, "entry %d holds %#x", k, e.addr)
+		}
+		if size := m.sizeOf(b); int64(e.size) != size {
+			return fail(b, "entry %d records %d bytes, the block has %d", k, e.size, size)
+		}
+		if b == pl.rover && pl.roverAt != k {
+			return fail(b, "is the rover at entry %d, recorded at %d", k, pl.roverAt)
+		}
+		if m.recordsFreePools() {
+			v, _ := m.freeKey.Get(b)
+			if s := pl.slots[k]; v != s+1 || int(s) >= len(m.slots) || m.slots[s] != (mirrorSlot{pl, k}) {
+				return fail(b, "entry %d has slot %d, the free-block table names slot+1 %d", k, s, v)
+			}
+		}
+		k++
+	}
+	if k != len(ents) {
+		return fail(heap.Nil, "holds entries past the list's tail")
+	}
+	if holes != pl.holes {
+		return fail(heap.Nil, "holds %d holes, the pool counts %d", holes, pl.holes)
+	}
+	return nil
 }
 
 // poolError reports an inconsistency found at block b of pool pl.

@@ -186,7 +186,7 @@ func (m *Custom) markNeighborOfFree(b heap.Addr, size int64, used bool) {
 // and phase.
 func (m *Custom) binFree(b heap.Addr, gross int64) {
 	k := m.keyFor(m.phaseOf(b), m.floorClass(gross))
-	m.insertFree(m.poolFor(k), b)
+	m.insertFree(m.poolFor(k), b, gross)
 }
 
 // setTop installs the wilderness chunk at b with the given size, keeping

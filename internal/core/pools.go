@@ -25,10 +25,13 @@ type poolKey struct {
 // nonempty bitset that run parallel to it); id is its stable creation
 // index, which the free-block side table records.
 //
-// A sorted list is mirrored host-side so that insertion, unlink and fit
-// find their place without walking simulated memory: runs indexes a
+// Every list is mirrored host-side so that insertion, unlink and fit find
+// their place without walking simulated memory: runs indexes a
 // size-sorted list (A1 = size-sorted), addrs an address-ordered one
-// (C2 = address order). They charge the probes the in-band walk would.
+// (C2 = address order), and ents holds an unsorted (LIFO or FIFO) list in
+// order from ents[lo], with holes and, beside it, the blocks' slots (see
+// mirror.go), where roverAt is the rover's entry. They charge the probes
+// the in-band walk would.
 type pool struct {
 	head, tail heap.Addr
 	count      int
@@ -40,6 +43,11 @@ type pool struct {
 	id         int
 	runs       []sizeRun
 	addrs      []heap.Addr
+	ents       []freeEnt
+	slots      []uint32
+	lo         int
+	holes      int
+	roverAt    int
 }
 
 // sizeRun is a maximal run of equal-size blocks on a size-sorted list: n
@@ -148,32 +156,36 @@ func keyLess(a, b poolKey) bool {
 	return a.class < b.class
 }
 
-// insertFree places free block b (gross size known) into pool pl honouring
-// the A1 structure and C2 ordering decisions, and records pl as b's pool.
-func (m *Custom) insertFree(pl *pool, b heap.Addr) {
-	if m.recordsFreePools() && !m.freeKey.Put(b, uint32(pl.id+1)) {
-		m.invariant(b, "is free but cannot be recorded in the pool table")
-	}
+// insertFree places free block b, gross bytes, into pool pl honouring the
+// A1 structure and C2 ordering decisions, and records pl as b's pool.
+func (m *Custom) insertFree(pl *pool, b heap.Addr, gross int64) {
 	pl.count++
 	m.ne.Set(pl.idx)
 	m.Charge(mm.CostLink)
-	switch {
-	case m.sizeSorted():
-		m.insertBySize(pl, b)
-	case m.addressOrdered():
+	if m.unsorted {
+		m.mirrorPush(pl, b, gross)
+		if m.lifo() {
+			m.linkBetween(pl, b, heap.Nil, pl.head)
+		} else {
+			m.linkBetween(pl, b, pl.tail, heap.Nil)
+		}
+		return
+	}
+	if m.recordsFreePools() && !m.freeKey.Put(b, uint32(pl.id+1)) {
+		m.invariant(b, "is free but cannot be recorded in the pool table")
+	}
+	if m.sizeSorted() {
+		m.insertBySize(pl, b, gross)
+	} else {
 		m.insertByAddress(pl, b)
-	case m.vec.FreeOrder == dspace.FIFOOrder:
-		m.linkBetween(pl, b, pl.tail, heap.Nil)
-	default: // LIFO
-		m.linkBetween(pl, b, heap.Nil, pl.head)
 	}
 }
 
-// insertBySize links b in front of its run of equal-size blocks, or
-// before the first larger run: where a walk for the first block at least
-// as large stops. It charges a probe per block ahead, as that walk does.
-func (m *Custom) insertBySize(pl *pool, b heap.Addr) {
-	size := m.V.Size(b)
+// insertBySize links b, size bytes, in front of its run of equal-size
+// blocks, or before the first larger run: where a walk for the first
+// block at least as large stops. It charges a probe per block ahead, as
+// that walk does.
+func (m *Custom) insertBySize(pl *pool, b heap.Addr, size int64) {
 	i := pl.runAtLeast(size)
 	m.ChargeN(mm.CostProbe, int64(pl.blocksBefore(i, pl.count)))
 	prev, next := pl.neighbours(i)
@@ -225,27 +237,38 @@ func (m *Custom) linkBetween(pl *pool, b, prev, next heap.Addr) {
 // unlink removes block b from pool pl. With doubly linked structures it is
 // O(1); with singly linked lists the caller provides the predecessor found
 // during the search (sprev), matching what the hardware-true structure can
-// do.
-func (m *Custom) unlink(pl *pool, b, sprev heap.Addr) {
+// do. An unsorted pool takes both neighbours from its mirror instead,
+// where b is entry at.
+func (m *Custom) unlink(pl *pool, b, sprev heap.Addr, at int) {
 	pl.count--
 	if m.recordsFreePools() {
 		m.freeKey.Take(b)
 	}
 	m.Charge(mm.CostUnlink)
-	prev, next := sprev, m.V.NextFree(b)
-	if m.doubleLinks() {
-		prev = m.V.PrevFree(b)
+	var prev, next heap.Addr
+	nextAt := 0
+	if m.unsorted {
+		prev, next, nextAt = m.mirrorDrop(pl, at)
+	} else {
+		prev, next = sprev, m.V.NextFree(b)
+		if m.doubleLinks() {
+			prev = m.V.PrevFree(b)
+		}
 	}
 	switch b {
 	case pl.rover:
-		pl.rover = next // its predecessor stays roverPrev
+		pl.rover, pl.roverAt = next, nextAt // its predecessor stays roverPrev
 	case pl.roverPrev:
 		pl.roverPrev = prev
 	}
 	switch {
+	case m.unsorted:
+		if pl.holes > pl.count+mirrorRoom {
+			m.compact(pl)
+		}
 	case m.sizeSorted():
 		m.unindexSize(pl, b, prev, next)
-	case m.addressOrdered():
+	default: // address-ordered
 		i, ok := slices.BinarySearch(pl.addrs, b)
 		if !ok {
 			m.invariant(b, "is unlinked from an address-ordered pool that does not index it")
@@ -296,19 +319,28 @@ func (m *Custom) unindexSize(pl *pool, b, prev, next heap.Addr) {
 // disagree: guessing a pool would corrupt the lists silently, so it is an
 // invariant failure.
 func (m *Custom) unlinkKnownFree(b heap.Addr) {
-	id, ok := m.freeKey.Get(b)
+	v, ok := m.freeKey.Get(b)
 	if !ok {
 		m.invariant(b, "is free in-band but binned in no pool")
 	}
-	pl := m.byID[id-1]
+	if m.unsorted {
+		s := m.slots[v-1]
+		m.chargeLookup(s.pl.idx)
+		m.unlink(s.pl, b, heap.Nil, s.at)
+		return
+	}
+	pl := m.byID[v-1]
 	m.chargeLookup(pl.idx)
-	m.unlink(pl, b, heap.Nil)
+	m.unlink(pl, b, heap.Nil, 0)
 }
 
-// searchResult carries a fit-search hit: the block and, for singly linked
-// lists, its predecessor (needed to unlink).
+// searchResult carries a fit-search hit: the block, its gross size and,
+// for singly linked sorted lists, its predecessor (needed to unlink), or
+// for unsorted ones its mirror entry.
 type searchResult struct {
 	b, sprev heap.Addr
+	at       int
+	size     int64
 	ok       bool
 }
 
@@ -320,6 +352,9 @@ type searchResult struct {
 func (m *Custom) searchPool(pl *pool, gross int64) searchResult {
 	if pl.head == heap.Nil {
 		return searchResult{}
+	}
+	if m.unsorted {
+		return m.searchMirror(pl, gross)
 	}
 	switch m.vec.Fit {
 	case dspace.FirstFit:
@@ -370,7 +405,7 @@ func (m *Custom) fitBySize(pl *pool, gross int64) searchResult {
 	}
 	m.ChargeN(mm.CostProbe, int64(pos)+1)
 	prev, b := pl.neighbours(i)
-	return searchResult{b: b, sprev: prev, ok: true}
+	return searchResult{b: b, sprev: prev, size: pl.runs[i].size, ok: true}
 }
 
 // scanFirst returns the first fitting block within the probe budget,
@@ -385,7 +420,7 @@ func (m *Custom) scanFirst(from, prev heap.Addr, gross int64) searchResult {
 			sz = m.untaggedSize(b)
 		}
 		if sz >= gross {
-			return searchResult{b: b, sprev: prev, ok: true}
+			return searchResult{b: b, sprev: prev, size: sz, ok: true}
 		}
 		prev = b
 	}
@@ -406,7 +441,7 @@ func (m *Custom) scanBest(pl *pool, gross int64) searchResult {
 			sz = m.untaggedSize(b)
 		}
 		if sz == gross {
-			return searchResult{b: b, sprev: prev, ok: true}
+			return searchResult{b: b, sprev: prev, size: sz, ok: true}
 		}
 		if sz > gross && (best == heap.Nil || sz < bestSize) {
 			best, bestPrev, bestSize = b, prev, sz
@@ -416,15 +451,18 @@ func (m *Custom) scanBest(pl *pool, gross int64) searchResult {
 	if best == heap.Nil {
 		return searchResult{}
 	}
-	return searchResult{b: best, sprev: bestPrev, ok: true}
+	return searchResult{b: best, sprev: bestPrev, size: bestSize, ok: true}
 }
 
 func (m *Custom) scanWorst(pl *pool, gross int64) searchResult {
 	if m.sizeSorted() {
 		// Largest block is at the tail.
 		m.Charge(mm.CostProbe)
-		if pl.tail != heap.Nil && m.sizeOf(pl.tail) >= gross {
-			return searchResult{b: pl.tail, ok: true}
+		if pl.tail == heap.Nil {
+			return searchResult{}
+		}
+		if sz := m.sizeOf(pl.tail); sz >= gross {
+			return searchResult{b: pl.tail, size: sz, ok: true}
 		}
 		return searchResult{}
 	}
@@ -446,7 +484,7 @@ func (m *Custom) scanWorst(pl *pool, gross int64) searchResult {
 	if worst == heap.Nil {
 		return searchResult{}
 	}
-	return searchResult{b: worst, sprev: worstPrev, ok: true}
+	return searchResult{b: worst, sprev: worstPrev, size: worstSize, ok: true}
 }
 
 // sizeSorted and addressOrdered name the two sorted list disciplines; a

@@ -118,14 +118,18 @@ func TestFastPathPins(t *testing.T) {
 	// refactor that detaches the comment silently unguards the loop),
 	// and the DMMT2 batch-decode loop must stay free of bounds checks —
 	// its indexing is guarded by the n < len(dst) condition alone. The
-	// replay kernel's two are the dense live table's ID indexing.
+	// replay kernel's two are the dense live table's ID indexing. The
+	// scans of core.Custom's unsorted free-list mirror range over a
+	// subslice, so they carry none either.
 	hotLoops := map[string]struct {
 		pkg, fn   string
 		maxBounds int
 	}{
-		"NextBatch": {"dmmkit/internal/trace", "(*binarySource).NextBatch", 0},
-		"Apply":     {"dmmkit/internal/trace", "(*Replayer).Apply", 2},
-		"bestFit":   {"dmmkit/internal/alloc/lea", "(*Manager).bestFit", 1},
+		"NextBatch":   {"dmmkit/internal/trace", "(*binarySource).NextBatch", 0},
+		"Apply":       {"dmmkit/internal/trace", "(*Replayer).Apply", 2},
+		"bestFit":     {"dmmkit/internal/alloc/lea", "(*Manager).bestFit", 1},
+		"mirrorFirst": {"dmmkit/internal/core", "(*Custom).mirrorFirst", 0},
+		"mirrorBest":  {"dmmkit/internal/core", "(*Custom).mirrorBest", 0},
 	}
 	for name, want := range hotLoops {
 		f := facts(t, inv, want.pkg, want.fn)
@@ -162,7 +166,7 @@ func TestFastPathPins(t *testing.T) {
 	}
 
 	// The replay kernel's live table: the dense form's set and take must
-	// inline into the kernel, with only the hashed form called out of
+	// inline into the kernel, with only the paged form called out of
 	// line. A prototype that called them lost 5-12% of Table 1 replay
 	// throughput.
 	inlined = inlinedInto(t, "dmmkit/internal/trace", "(*Replayer).Apply")
@@ -171,6 +175,12 @@ func TestFastPathPins(t *testing.T) {
 			t.Errorf("trace.%s is no longer inlined into (*Replayer).Apply: %s",
 				fn, facts(t, inv, "dmmkit/internal/trace", fn).InlineReason)
 		}
+	}
+	// The paged form is that one call per event: its page allocation must
+	// inline into setPaged rather than add a second.
+	if !inlinedInto(t, "dmmkit/internal/trace", "(*liveTable).setPaged")["(*liveTable).newPage"] {
+		t.Errorf("trace.(*liveTable).newPage is no longer inlined into (*liveTable).setPaged: %s",
+			facts(t, inv, "dmmkit/internal/trace", "(*liveTable).newPage").InlineReason)
 	}
 }
 

@@ -14,10 +14,13 @@ import (
 // same entries at the end.
 func TestLiveTableForms(t *testing.T) {
 	const denseIDs = 4096
-	// extremes are IDs the hashed form must handle like any other: 0 is
-	// the open-addressing table's empty-slot key, negative IDs are not
+	// edges are IDs the paged form must handle like any other: the first
+	// and last ID of a page, the last ID below the directory's cap and the
+	// first two at or past it, which go to the hashed table; 0 is also
+	// the open-addressing table's empty-slot key, and negative IDs are not
 	// slice-indexable.
-	extremes := []int64{0, -1, math.MinInt64, math.MaxInt64}
+	edges := []int64{0, 1, livePageLen - 1, livePageLen, 2*livePageLen - 1, liveCap - livePageLen,
+		liveCap - 1, liveCap, liveCap + 1, -1, math.MinInt64, math.MaxInt64}
 	forms := []struct {
 		name string
 		new  func() liveTable
@@ -25,10 +28,10 @@ func TestLiveTableForms(t *testing.T) {
 	}{
 		{"dense", func() liveTable { return liveTable{dense: make([]heap.Addr, denseIDs)} },
 			func(rng *rand.Rand) int64 { return rng.Int63n(denseIDs) }},
-		{"hashed", func() liveTable { return liveTable{} },
+		{"paged", func() liveTable { return liveTable{} },
 			func(rng *rand.Rand) int64 {
 				if rng.Intn(16) == 0 {
-					return extremes[rng.Intn(len(extremes))]
+					return edges[rng.Intn(len(edges))]
 				}
 				return rng.Int63n(1<<16) - 1<<15
 			}},
@@ -42,7 +45,8 @@ func TestLiveTableForms(t *testing.T) {
 			for op := 0; op < ops; op++ {
 				id := form.id(rng)
 				// Sets outnumber takes, so the live set grows through
-				// several doublings of the hashed form.
+				// several doublings of the hashed table and the paged
+				// directory.
 				if rng.Intn(5) < 3 {
 					p := heap.Addr(rng.Intn(1<<20)+1) * 8
 					lt.set(id, p)
@@ -55,12 +59,38 @@ func TestLiveTableForms(t *testing.T) {
 				}
 				peak = max(peak, len(ref))
 			}
-			if form.name == "hashed" && peak < 1<<13 {
+			if form.name == "paged" && peak < 1<<13 {
 				t.Fatalf("seed %d: live set peaked at %d entries; the program does not exercise growth", seed, peak)
 			}
 			drainLiveTable(t, form.name, &lt, ref)
 		}
 	}
+}
+
+// TestLiveTablePagesRecycle strides live IDs one per page, the shape an
+// upload can choose to cost the paged table the most, and checks that it
+// holds at most one page per live ID and reuses emptied pages: a sliding
+// window of live IDs never grows the page arena past the window.
+func TestLiveTablePagesRecycle(t *testing.T) {
+	const window = 64
+	var lt liveTable
+	for i := int64(0); i < 4096; i++ {
+		lt.set(i*livePageLen, heap.Addr(i+1)*8)
+		if i >= window {
+			old := i - window
+			if got := lt.take(old * livePageLen); got != heap.Addr(old+1)*8 {
+				t.Fatalf("take(%d) = %#x, want %#x", old*livePageLen, got, heap.Addr(old+1)*8)
+			}
+		}
+		if len(lt.pages) > window+1 {
+			t.Fatalf("after %d sets the arena holds %d pages for at most %d live IDs", i+1, len(lt.pages), window+1)
+		}
+	}
+	ref := map[int64]heap.Addr{}
+	for i := int64(4096 - window); i < 4096; i++ {
+		ref[i*livePageLen] = heap.Addr(i+1) * 8
+	}
+	drainLiveTable(t, "strided", &lt, ref)
 }
 
 // drainLiveTable takes every reference ID out of lt, checking its address,
@@ -77,6 +107,14 @@ func drainLiveTable(t *testing.T, name string, lt *liveTable, ref map[int64]heap
 	}
 	if n := lt.hashed.Len(); n != 0 {
 		t.Fatalf("%s: %d hashed entries left after draining", name, n)
+	}
+	for d, w := range lt.dir {
+		if w != 0 {
+			t.Fatalf("%s: directory word %d is %#x after draining", name, d, w)
+		}
+	}
+	if len(lt.spare) != len(lt.pages) {
+		t.Fatalf("%s: %d of %d pages spare after draining", name, len(lt.spare), len(lt.pages))
 	}
 	for id, p := range lt.dense {
 		if p != heap.Nil {

@@ -49,19 +49,43 @@ type RunOpts struct {
 // has two forms, and the source picks one. The in-memory source pre-scans
 // its events: a Builder trace has dense sequential IDs, so the table is a
 // flat slice indexed by ID, allocated once — no per-event hashing or
-// allocation. Every other source uses the open-addressing mm.Table,
-// whose size follows the live set rather than the trace length.
-// Address Nil marks a dead ID: managers never hand out the nil address.
+// allocation. Every other source uses the paged form, whose memory
+// follows the live set rather than the trace length: a directory indexed
+// by id>>liveShift names a page of livePageLen addresses, allocated when
+// a page of IDs gets its first live one and recycled through a spare list
+// when it empties, in the manner of mm.AddrMap. Only IDs outside the
+// directory's range (negative, or at least liveCap) go to the
+// open-addressing mm.Table. Address Nil marks a dead ID: managers never
+// hand out the nil address.
 //
-// set and take must stay inlinable into the replay kernel, with the
-// hashed form called out of line: the dense form is Table 1's fast path.
+// Memory: the directory is 4 bytes per page of IDs up to the highest one
+// set, at most liveCap>>liveShift words (1 MiB), and the pages hold at
+// most one page per live ID (4 KiB each, when live IDs are strided a page
+// apart) and at most one per livePageLen consecutive IDs.
+//
+// set and take must stay inlinable into the replay kernel, with the paged
+// form called out of line: the dense form is Table 1's fast path.
 type liveTable struct {
-	dense  []heap.Addr // nil selects the hashed form
-	hashed mm.Table
+	dense  []heap.Addr // nil selects the paged form
+	dir    []uint32    // per page of IDs: 0, or page<<liveCountBits | live IDs in it
+	pages  []*livePage // directory words name pages[i] as i+1
+	spare  []uint32    // emptied pages, as directory words name them
+	hashed mm.Table    // IDs outside [0, liveCap)
 }
 
+const (
+	liveShift     = 10
+	livePageLen   = 1 << liveShift
+	liveCountBits = liveShift + 1 // counts 0..livePageLen
+	liveCountMask = 1<<liveCountBits - 1
+	liveCap       = 1 << 28
+)
+
+// livePage holds the addresses of livePageLen consecutive IDs.
+type livePage [livePageLen]heap.Addr
+
 // newLiveTable returns the dense form for events whose IDs index a slice
-// of modest size, and the hashed form otherwise.
+// of modest size, and the paged form otherwise.
 func newLiveTable(events []Event) liveTable {
 	maxID, minID := int64(-1), int64(0)
 	for i := range events {
@@ -75,7 +99,7 @@ func newLiveTable(events []Event) liveTable {
 	// exceeds the event count; tolerate mild sparseness beyond that.
 	// Negative IDs (possible only in hand-built in-memory traces — the
 	// binary decoders reject them) are not slice-indexable and force the
-	// hashed form.
+	// paged form.
 	if minID >= 0 && maxID < 2*int64(len(events))+64 {
 		return liveTable{dense: make([]heap.Addr, maxID+1)}
 	}
@@ -84,7 +108,7 @@ func newLiveTable(events []Event) liveTable {
 
 func (lt *liveTable) set(id int64, p heap.Addr) {
 	if lt.dense == nil {
-		lt.hashed.Put(uint64(id), int64(p))
+		lt.setPaged(id, p)
 		return
 	}
 	lt.dense[id] = p
@@ -95,19 +119,77 @@ func (lt *liveTable) set(id int64, p heap.Addr) {
 // for every ID its events name.
 func (lt *liveTable) take(id int64) (p heap.Addr) {
 	if lt.dense == nil {
-		return lt.takeHashed(id)
+		return lt.takePaged(id)
 	}
 	p, lt.dense[id] = lt.dense[id], heap.Nil
 	return p
 }
 
-// takeHashed is take's hashed form, kept out of line so that take itself
+// setPaged is set's paged form, kept out of line so that set itself fits
+// the inliner's budget.
+//
+//go:noinline
+func (lt *liveTable) setPaged(id int64, p heap.Addr) {
+	if uint64(id) >= liveCap {
+		lt.hashed.Put(uint64(id), int64(p))
+		return
+	}
+	d := int(id >> liveShift)
+	if d >= len(lt.dir) {
+		size := min(max(d+1, 2*len(lt.dir)), liveCap>>liveShift)
+		lt.dir = append(lt.dir, make([]uint32, size-len(lt.dir))...)
+	}
+	w := lt.dir[d]
+	if w == 0 {
+		w = lt.newPage() << liveCountBits
+	}
+	slot := &lt.pages[w>>liveCountBits-1][id&(livePageLen-1)]
+	if *slot == heap.Nil {
+		w++
+	}
+	*slot = p
+	lt.dir[d] = w
+}
+
+// takePaged is take's paged form, kept out of line so that take itself
 // fits the inliner's budget.
 //
 //go:noinline
-func (lt *liveTable) takeHashed(id int64) heap.Addr {
-	p, _ := lt.hashed.Take(uint64(id))
-	return heap.Addr(p)
+func (lt *liveTable) takePaged(id int64) heap.Addr {
+	if uint64(id) >= liveCap {
+		p, _ := lt.hashed.Take(uint64(id))
+		return heap.Addr(p)
+	}
+	d := int(id >> liveShift)
+	if d >= len(lt.dir) || lt.dir[d] == 0 {
+		return heap.Nil
+	}
+	w := lt.dir[d]
+	slot := &lt.pages[w>>liveCountBits-1][id&(livePageLen-1)]
+	p := *slot
+	if p == heap.Nil {
+		return heap.Nil
+	}
+	*slot = heap.Nil
+	if w--; w&liveCountMask == 0 {
+		lt.spare = append(lt.spare, w>>liveCountBits)
+		w = 0
+	}
+	lt.dir[d] = w
+	return p
+}
+
+// newPage returns an empty page as directory words name it, reusing a
+// spare one (emptied slot by slot, so already all Nil) before allocating
+// one.
+func (lt *liveTable) newPage() uint32 {
+	if n := len(lt.spare); n > 0 {
+		pg := lt.spare[n-1]
+		lt.spare = lt.spare[:n-1]
+		return pg
+	}
+	lt.pages = append(lt.pages, new(livePage))
+	return uint32(len(lt.pages))
 }
 
 // Replayer is the replay kernel: the one place trace events turn into
@@ -123,7 +205,7 @@ type Replayer struct {
 }
 
 // NewReplayer returns a kernel replaying the trace named name against m
-// from its first event, with the hashed live table.
+// from its first event, with the paged live table.
 func NewReplayer(m mm.Manager, name string, opts RunOpts) *Replayer {
 	return &Replayer{m: m, res: Result{Manager: m.Name(), TraceName: name}, opts: opts}
 }

@@ -204,3 +204,64 @@ func TestStreamingReplayBoundedMemory(t *testing.T) {
 	t.Logf("replayed %d events; heap grew %d bytes, footprint %d",
 		res.Events, int64(after.HeapAlloc)-int64(before.HeapAlloc), res.MaxFootprint)
 }
+
+// TestStreamingReplayStridedIDs replays, off disk, a trace whose live IDs
+// stand one ID page apart (1024 IDs: the paged live table's page), the
+// shape an upload can choose to cost that table the most: every live ID
+// takes a page of its own. The table must still be O(live IDs): pages are
+// recycled as IDs die, so over 100,000 allocations the replay allocates
+// about what 1,024 live IDs need — at most a 4 KiB page each — plus a
+// directory word per page of IDs, rather than a page per ID ever
+// allocated (400 MB).
+func TestStreamingReplayStridedIDs(t *testing.T) {
+	const allocs, liveSet, stride = 100_000, 1024, 1024
+	path := filepath.Join(t.TempDir(), "strided.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := trace.NewEncoder(f)
+	err = enc.Begin("strided")
+	for i := int64(0); i < allocs && err == nil; i++ {
+		if i >= liveSet {
+			err = enc.WriteEvent(trace.Event{Kind: trace.KindFree, ID: (i - liveSet) * stride, Tick: i})
+		}
+		if err == nil {
+			err = enc.WriteEvent(trace.Event{Kind: trace.KindAlloc, ID: i * stride, Size: 16 + 8*(i%37), Tick: i})
+		}
+	}
+	for i := int64(allocs - liveSet); i < allocs && err == nil; i++ {
+		err = enc.WriteEvent(trace.Event{Kind: trace.KindFree, ID: i * stride, Tick: allocs})
+	}
+	if err := errors.Join(err, enc.Close(), f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := trace.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := tf.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := kingsley.New(heap.New(heap.Config{}))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := trace.RunSource(context.Background(), m, src, trace.RunOpts{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * allocs; res.Events != want {
+		t.Fatalf("replayed %d events, want %d", res.Events, want)
+	}
+	// Pages: liveSet+1 of 4 KiB (4.2 MB); directory: a word per page of
+	// the 100M IDs, allocated twice over while it doubles (0.8 MB); the
+	// rest (decode buffers, the simulated heap) is well under 2 MB.
+	const bound = 8 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("strided replay allocated %d bytes (bound %d): the live table is not O(live IDs)", got, bound)
+	}
+	t.Logf("replayed %d events; allocated %d bytes", res.Events, after.TotalAlloc-before.TotalAlloc)
+}
