@@ -326,6 +326,9 @@ func (m *Custom) allocFromPools(phase int, class int64, gross int64) (heap.Addr,
 		if !r.ok {
 			return heap.Nil, 0, false
 		}
+		if m.recordsFreePools() {
+			m.freeKey.Take(r.b)
+		}
 		m.unlink(pl, r.b, r.sprev, r.at)
 		have := r.size
 		if have > gross && m.maySplit(have, gross) {

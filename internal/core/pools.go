@@ -238,12 +238,10 @@ func (m *Custom) linkBetween(pl *pool, b, prev, next heap.Addr) {
 // O(1); with singly linked lists the caller provides the predecessor found
 // during the search (sprev), matching what the hardware-true structure can
 // do. An unsorted pool takes both neighbours from its mirror instead,
-// where b is entry at.
+// where b is entry at. The caller has dropped b from the free-block
+// table.
 func (m *Custom) unlink(pl *pool, b, sprev heap.Addr, at int) {
 	pl.count--
-	if m.recordsFreePools() {
-		m.freeKey.Take(b)
-	}
 	m.Charge(mm.CostUnlink)
 	var prev, next heap.Addr
 	nextAt := 0
@@ -319,7 +317,7 @@ func (m *Custom) unindexSize(pl *pool, b, prev, next heap.Addr) {
 // disagree: guessing a pool would corrupt the lists silently, so it is an
 // invariant failure.
 func (m *Custom) unlinkKnownFree(b heap.Addr) {
-	v, ok := m.freeKey.Get(b)
+	v, ok := m.freeKey.Take(b)
 	if !ok {
 		m.invariant(b, "is free in-band but binned in no pool")
 	}

@@ -66,6 +66,13 @@ type Heap struct {
 	nextSeg  Addr       // next segment base to hand out
 	segBytes int64
 
+	// Unmapped segments kept for reuse by size, so that a manager
+	// mapping and unmapping segments does not allocate host memory per
+	// segment; they hold no more bytes than the most ever mapped at once.
+	spare      map[int64][]*segment
+	spareBytes int64
+	maxSegs    int64
+
 	maxFootprint int64
 
 	faultAddr Addr // address of the last word fault; see wordFault
@@ -184,10 +191,15 @@ func (h *Heap) Map(n int64) (Addr, error) {
 	if int64(h.nextSeg)+sz > int64(^uint32(0))-Align {
 		return Nil, ErrOutOfMemory
 	}
-	s := &segment{base: h.nextSeg, size: sz, mem: make([]byte, sz)}
+	s := h.reuse(sz)
+	if s == nil {
+		s = &segment{size: sz, mem: make([]byte, sz)}
+	}
+	s.base = h.nextSeg
 	h.nextSeg += Addr(sz) + h.cfg.SegGuard()
 	h.segs = append(h.segs, s)
 	h.segBytes += sz
+	h.maxSegs = max(h.maxSegs, h.segBytes)
 	h.nMap++
 	h.bumpFootprint()
 	return s.base, nil
@@ -217,10 +229,32 @@ func (h *Heap) Unmap(addr Addr) error {
 	if h.hot == h.segs[i] {
 		h.hot = nil
 	}
-	h.segBytes -= h.segs[i].size
+	s := h.segs[i]
+	h.segBytes -= s.size
 	h.segs = append(h.segs[:i], h.segs[i+1:]...)
 	h.nUnmap++
+	if h.spareBytes+s.size <= h.maxSegs {
+		if h.spare == nil {
+			h.spare = map[int64][]*segment{}
+		}
+		h.spare[s.size] = append(h.spare[s.size], s)
+		h.spareBytes += s.size
+	}
 	return nil
+}
+
+// reuse returns a spare segment of sz bytes, zeroed as a fresh one is, or
+// nil when there is none.
+func (h *Heap) reuse(sz int64) *segment {
+	list := h.spare[sz]
+	if len(list) == 0 {
+		return nil
+	}
+	s := list[len(list)-1]
+	h.spare[sz] = list[:len(list)-1]
+	h.spareBytes -= sz
+	clear(s.mem)
+	return s
 }
 
 // SegmentSize returns the size of the mapped segment at addr, or 0 if addr

@@ -278,6 +278,58 @@ func TestMapUnmap(t *testing.T) {
 	}
 }
 
+// TestUnmappedSegmentsAreReused checks that Map reuses the buffer of an
+// unmapped segment of its size: it reads as zero, as a fresh segment
+// does, the counters and footprint are those of a fresh one, and a steady
+// Map/Unmap cycle allocates no host memory. The spare buffers never hold
+// more than the most bytes ever mapped at once.
+func TestUnmappedSegmentsAreReused(t *testing.T) {
+	h := New(Config{})
+	a, err := h.Map(10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Fill(a, 12288, 0xAB)
+	if err := h.Unmap(a); err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.Map(12000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b == a {
+		t.Fatalf("Map reused the unmapped base %#x", a)
+	}
+	for i, c := range h.Bytes(b, 12288) {
+		if c != 0 {
+			t.Fatalf("byte %d of a reused segment is %#x, want 0", i, c)
+		}
+	}
+	if st := h.SysStats(); st.Maps != 2 || st.Unmaps != 1 || h.Footprint() != 12288 {
+		t.Errorf("SysStats %+v, footprint %d; want 2 maps, 1 unmap, 12288 bytes", st, h.Footprint())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c, err := h.Map(12288)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Unmap(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a Map/Unmap cycle allocates %.1f times, want 0", allocs)
+	}
+	// Unmapping two more segments than were ever mapped at once keeps
+	// only what the peak allows.
+	if err := h.Unmap(b); err != nil {
+		t.Fatal(err)
+	}
+	if h.spareBytes > h.maxSegs {
+		t.Errorf("%d spare bytes exceed the %d-byte peak of mapped segments", h.spareBytes, h.maxSegs)
+	}
+}
+
 func TestMapSegmentsDisjoint(t *testing.T) {
 	h := New(Config{})
 	var addrs []Addr
