@@ -67,32 +67,6 @@ func TestLiveTableForms(t *testing.T) {
 	}
 }
 
-// TestLiveTablePagesRecycle strides live IDs one per page, the shape an
-// upload can choose to cost the paged table the most, and checks that it
-// holds at most one page per live ID and reuses emptied pages: a sliding
-// window of live IDs never grows the page arena past the window.
-func TestLiveTablePagesRecycle(t *testing.T) {
-	const window = 64
-	var lt liveTable
-	for i := int64(0); i < 4096; i++ {
-		lt.set(i*livePageLen, heap.Addr(i+1)*8)
-		if i >= window {
-			old := i - window
-			if got := lt.take(old * livePageLen); got != heap.Addr(old+1)*8 {
-				t.Fatalf("take(%d) = %#x, want %#x", old*livePageLen, got, heap.Addr(old+1)*8)
-			}
-		}
-		if len(lt.pages) > window+1 {
-			t.Fatalf("after %d sets the arena holds %d pages for at most %d live IDs", i+1, len(lt.pages), window+1)
-		}
-	}
-	ref := map[int64]heap.Addr{}
-	for i := int64(4096 - window); i < 4096; i++ {
-		ref[i*livePageLen] = heap.Addr(i+1) * 8
-	}
-	drainLiveTable(t, "strided", &lt, ref)
-}
-
 // drainLiveTable takes every reference ID out of lt, checking its address,
 // and then requires lt to be empty.
 func drainLiveTable(t *testing.T, name string, lt *liveTable, ref map[int64]heap.Addr) {
