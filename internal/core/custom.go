@@ -47,11 +47,11 @@ type Custom struct {
 	freeKey mm.AddrMap
 
 	// Unsorted pools' mirrors: the slots a coalescing manager's free-block
-	// table names (slots[v-1] for value v), the released ones, and
-	// compaction's scratch buffer. See mirror.go.
-	slots      []mirrorSlot
-	freeSlots  []uint32
-	compactBuf []freeEnt
+	// table names (slots[v-1] for value v), the released ones, and what
+	// the mirrors did. See mirror.go.
+	slots     []mirrorSlot
+	freeSlots []uint32
+	mirrored  mirrorStats
 
 	name string
 }

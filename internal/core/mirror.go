@@ -44,6 +44,11 @@ type mirrorSlot struct {
 	at int
 }
 
+// mirrorStats counts the mirrors' upkeep, squeezes and compactions, and
+// the searches that ran out of probe budget before the list's tail. Only
+// tests read it: they require their lists to be long enough for each.
+type mirrorStats struct{ squeezes, compacts, cutoffs int }
+
 // mirrorRoom is the least room a compaction leaves for pushes, and the
 // least surplus of holes that triggers one.
 const mirrorRoom = 16
@@ -175,6 +180,7 @@ func mirrorNext(pl *pool, at int) int {
 // them for a LIFO pool's pushes, and updates the rover's position and the
 // slots.
 func (m *Custom) compact(pl *pool) {
+	m.mirrored.compacts++
 	rec := m.recordsFreePools()
 	// Pack the listed entries down from lo; moving down overwrites only
 	// entries already moved or holes.
@@ -230,6 +236,7 @@ func moveTo[T any](s []T, lo, front int) []T {
 // head, or joined to the run of holes before from otherwise. It keeps the
 // holes that a scan steps over few: searches squeeze what they scanned.
 func (m *Custom) squeeze(pl *pool, from, end, at int) int {
+	m.mirrored.squeezes++
 	rec := m.recordsFreePools()
 	w := end
 	for k := end - 1; k >= from; k-- {
@@ -335,6 +342,9 @@ func (m *Custom) mirrorFirst(pl *pool, at int, gross int64) (r searchResult, see
 			return searchResult{b: e.addr, at: at + i, size: int64(e.size), ok: true}, i + 1, i - probes
 		}
 		if probes += isProbe(e.size); probes == budget {
+			if i+1 < len(ents) {
+				m.mirrored.cutoffs++
+			}
 			ents = ents[:i+1]
 			break
 		}
@@ -366,6 +376,9 @@ func (m *Custom) mirrorBest(pl *pool, gross int64) (r searchResult, seen, holes 
 		}
 		bestKey = min(bestKey, uint64((excess-1)<<posBits|int64(i)))
 		if probes += isProbe(e.size); probes == budget {
+			if i+1 < len(ents) {
+				m.mirrored.cutoffs++
+			}
 			ents = ents[:i+1]
 			break
 		}
@@ -393,6 +406,9 @@ func (m *Custom) mirrorWorst(pl *pool, gross int64) (r searchResult, seen, holes
 			worst, worstSize = i, size
 		}
 		if probes += isProbe(e.size); probes == budget {
+			if i+1 < len(ents) {
+				m.mirrored.cutoffs++
+			}
 			ents = ents[:i+1]
 			break
 		}

@@ -320,13 +320,27 @@ func TestUnmappedSegmentsAreReused(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a Map/Unmap cycle allocates %.1f times, want 0", allocs)
 	}
-	// Unmapping two more segments than were ever mapped at once keeps
-	// only what the peak allows.
+	// The cycle mapped a second segment beside b, so the peak is two
+	// segments and the spare list, holding one, takes b too.
 	if err := h.Unmap(b); err != nil {
 		t.Fatal(err)
 	}
-	if h.spareBytes > h.maxSegs {
-		t.Errorf("%d spare bytes exceed the %d-byte peak of mapped segments", h.spareBytes, h.maxSegs)
+	if h.maxSegs != 2*12288 || h.spareBytes != 2*12288 || len(h.spare[12288]) != 2 {
+		t.Fatalf("peak %d, %d spare bytes, %d spare 12288-byte segments; want 24576, 24576, 2",
+			h.maxSegs, h.spareBytes, len(h.spare[12288]))
+	}
+	// A segment of another size fits below the peak while mapped, but
+	// keeping it would hold more spare bytes than the peak: it is dropped.
+	d, err := h.Map(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Unmap(d); err != nil {
+		t.Fatal(err)
+	}
+	if h.spareBytes != 2*12288 || len(h.spare[4096]) != 0 {
+		t.Errorf("%d spare bytes, %d spare 4096-byte segments after unmapping past the peak; want 24576, 0",
+			h.spareBytes, len(h.spare[4096]))
 	}
 }
 

@@ -11,7 +11,10 @@ import (
 // TestLiveTableForms drives both live-table forms and a Go-map reference
 // through seeded random programs of set and take — takes of unknown IDs
 // included — and requires them to agree at every step, and to hold the
-// same entries at the end.
+// same entries at the end. The strided program spreads its live IDs over
+// far more pages than the page budget allows, so that IDs in the
+// directory's range go to the hashed table too; the pages ever allocated
+// must stay within the budget of the most IDs ever paged.
 func TestLiveTableForms(t *testing.T) {
 	const denseIDs = 4096
 	// edges are IDs the paged form must handle like any other: the first
@@ -35,12 +38,14 @@ func TestLiveTableForms(t *testing.T) {
 				}
 				return rng.Int63n(1<<16) - 1<<15
 			}},
+		{"paged-strided", func() liveTable { return liveTable{} },
+			func(rng *rand.Rand) int64 { return rng.Int63n(1<<14)*livePageLen + rng.Int63n(4) }},
 	}
 	for _, form := range forms {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			lt, ref := form.new(), map[int64]heap.Addr{}
-			peak := 0
+			peak, peakPaged, overBudget := 0, 0, false
 			const ops = 60000
 			for op := 0; op < ops; op++ {
 				id := form.id(rng)
@@ -51,16 +56,23 @@ func TestLiveTableForms(t *testing.T) {
 					p := heap.Addr(rng.Intn(1<<20)+1) * 8
 					lt.set(id, p)
 					ref[id] = p
+					overBudget = overBudget || uint64(id) < liveCap && lt.hashed.Has(uint64(id))
 				} else {
 					if got := lt.take(id); got != ref[id] {
 						t.Fatalf("%s seed %d op %d: take(%d) = %#x, want %#x", form.name, seed, op, id, got, ref[id])
 					}
 					delete(ref, id)
 				}
-				peak = max(peak, len(ref))
+				peak, peakPaged = max(peak, len(ref)), max(peakPaged, lt.paged)
 			}
-			if form.name == "paged" && peak < 1<<13 {
-				t.Fatalf("seed %d: live set peaked at %d entries; the program does not exercise growth", seed, peak)
+			if form.name != "dense" && peak < 1<<13 {
+				t.Fatalf("%s seed %d: live set peaked at %d entries; the program does not exercise growth", form.name, seed, peak)
+			}
+			if limit := liveFloorPages + peakPaged/liveIDsPerPage; len(lt.pages) > limit {
+				t.Fatalf("%s seed %d: %d pages allocated, the budget of %d paged IDs allows %d", form.name, seed, len(lt.pages), peakPaged, limit)
+			}
+			if wantOver := form.name == "paged-strided"; overBudget != wantOver {
+				t.Fatalf("%s seed %d: an in-range ID went to the hashed table: %v, want %v", form.name, seed, overBudget, wantOver)
 			}
 			drainLiveTable(t, form.name, &lt, ref)
 		}
@@ -86,6 +98,9 @@ func drainLiveTable(t *testing.T, name string, lt *liveTable, ref map[int64]heap
 		if w != 0 {
 			t.Fatalf("%s: directory word %d is %#x after draining", name, d, w)
 		}
+	}
+	if lt.paged != 0 {
+		t.Fatalf("%s: %d paged IDs counted after draining", name, lt.paged)
 	}
 	if len(lt.spare) != len(lt.pages) {
 		t.Fatalf("%s: %d of %d pages spare after draining", name, len(lt.spare), len(lt.pages))

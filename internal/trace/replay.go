@@ -53,15 +53,20 @@ type RunOpts struct {
 // follows the live set rather than the trace length: a directory indexed
 // by id>>liveShift names a page of livePageLen addresses, allocated when
 // a page of IDs gets its first live one and recycled through a spare list
-// when it empties, in the manner of mm.AddrMap. Only IDs outside the
-// directory's range (negative, or at least liveCap) go to the
-// open-addressing mm.Table. Address Nil marks a dead ID: managers never
-// hand out the nil address.
+// when it empties, in the manner of mm.AddrMap. The open-addressing
+// mm.Table holds the IDs outside the directory's range (negative, or at
+// least liveCap), and the IDs whose page would break the page budget: a
+// page beyond the first liveFloorPages must be paid for by
+// liveIDsPerPage live IDs in pages. Address Nil marks a dead ID: managers
+// never hand out the nil address.
 //
 // Memory: the directory is 4 bytes per page of IDs up to the highest one
-// set, at most liveCap>>liveShift words (1 MiB), and the pages hold at
-// most one page per live ID (4 KiB each, when live IDs are strided a page
-// apart) and at most one per livePageLen consecutive IDs.
+// set, at most liveCap>>liveShift words (1 MiB). The pages in use never
+// exceed liveFloorPages plus one per liveIDsPerPage live IDs: 256 KiB plus
+// 256 bytes per live ID, where live IDs strided a page apart would
+// otherwise pin 4 KiB each. Emptied pages are kept for reuse, so the pages
+// held follow the peak of that budget. The built-in traces stay within
+// 4 pages of it without the floor, so on them every ID in range is paged.
 //
 // set and take must stay inlinable into the replay kernel, with the paged
 // form called out of line: the dense form is Table 1's fast path.
@@ -70,7 +75,8 @@ type liveTable struct {
 	dir    []uint32    // per page of IDs: 0, or page<<liveCountBits | live IDs in it
 	pages  []*livePage // directory words name pages[i] as i+1
 	spare  []uint32    // emptied pages, as directory words name them
-	hashed mm.Table    // IDs outside [0, liveCap)
+	paged  int         // live IDs in pages
+	hashed mm.Table    // IDs outside [0, liveCap) or past the page budget
 }
 
 const (
@@ -79,6 +85,9 @@ const (
 	liveCountBits = liveShift + 1 // counts 0..livePageLen
 	liveCountMask = 1<<liveCountBits - 1
 	liveCap       = 1 << 28
+
+	liveFloorPages = 64
+	liveIDsPerPage = 16
 )
 
 // livePage holds the addresses of livePageLen consecutive IDs.
@@ -141,11 +150,19 @@ func (lt *liveTable) setPaged(id int64, p heap.Addr) {
 	}
 	w := lt.dir[d]
 	if w == 0 {
+		if len(lt.pages)-len(lt.spare) >= liveFloorPages+lt.paged/liveIDsPerPage {
+			lt.hashed.Put(uint64(id), int64(p))
+			return
+		}
 		w = lt.newPage() << liveCountBits
+	}
+	if lt.hashed.Len() > 0 {
+		lt.hashed.Take(uint64(id)) // set while its page was over budget
 	}
 	slot := &lt.pages[w>>liveCountBits-1][id&(livePageLen-1)]
 	if *slot == heap.Nil {
 		w++
+		lt.paged++
 	}
 	*slot = p
 	lt.dir[d] = w
@@ -156,27 +173,33 @@ func (lt *liveTable) setPaged(id int64, p heap.Addr) {
 //
 //go:noinline
 func (lt *liveTable) takePaged(id int64) heap.Addr {
-	if uint64(id) >= liveCap {
-		p, _ := lt.hashed.Take(uint64(id))
-		return heap.Addr(p)
-	}
 	d := int(id >> liveShift)
-	if d >= len(lt.dir) || lt.dir[d] == 0 {
-		return heap.Nil
+	if uint64(id) >= liveCap || d >= len(lt.dir) || lt.dir[d] == 0 {
+		return lt.takeHashed(id)
 	}
 	w := lt.dir[d]
 	slot := &lt.pages[w>>liveCountBits-1][id&(livePageLen-1)]
 	p := *slot
 	if p == heap.Nil {
-		return heap.Nil
+		return lt.takeHashed(id)
 	}
 	*slot = heap.Nil
+	lt.paged--
 	if w--; w&liveCountMask == 0 {
 		lt.spare = append(lt.spare, w>>liveCountBits)
 		w = 0
 	}
 	lt.dir[d] = w
 	return p
+}
+
+// takeHashed is take for an ID the pages do not hold.
+func (lt *liveTable) takeHashed(id int64) heap.Addr {
+	if lt.hashed.Len() == 0 {
+		return heap.Nil
+	}
+	p, _ := lt.hashed.Take(uint64(id))
+	return heap.Addr(p)
 }
 
 // newPage returns an empty page as directory words name it, reusing a

@@ -205,63 +205,79 @@ func TestStreamingReplayBoundedMemory(t *testing.T) {
 		res.Events, int64(after.HeapAlloc)-int64(before.HeapAlloc), res.MaxFootprint)
 }
 
-// TestStreamingReplayStridedIDs replays, off disk, a trace whose live IDs
-// stand one ID page apart (1024 IDs: the paged live table's page), the
-// shape an upload can choose to cost that table the most: every live ID
-// takes a page of its own. The table must still be O(live IDs): pages are
-// recycled as IDs die, so over 100,000 allocations the replay allocates
-// about what 1,024 live IDs need — at most a 4 KiB page each — plus a
-// directory word per page of IDs, rather than a page per ID ever
-// allocated (400 MB).
+// TestStreamingReplayStridedIDs replays, off disk, traces whose live IDs
+// stand about one ID page apart (1024 IDs: the paged live table's page),
+// the shape an upload can choose to cost that table the most: every live
+// ID would take a page of its own. The table must stay O(live IDs) with a
+// small constant. A paged ID pays for only a sixteenth of a page, so past
+// the 64-page floor the budget sends these IDs to the hashed table: with
+// 1,024 live IDs over 100,000 allocations the replay allocates no page
+// per ID ever allocated (400 MB), and with 2^18 live at once no page per
+// live ID (1 GiB).
 func TestStreamingReplayStridedIDs(t *testing.T) {
-	const allocs, liveSet, stride = 100_000, 1024, 1024
-	path := filepath.Join(t.TempDir(), "strided.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name                    string
+		allocs, liveSet, stride int64
+		bound                   uint64
+	}{
+		// Pages: at most 64 + 1024/16 of 4 KiB (0.5 MiB); directory: a
+		// word per page of the 100M IDs, allocated twice over while it
+		// doubles (0.8 MB); the rest (the hashed IDs, decode buffers,
+		// the simulated heap) is well under 2 MB. Measured: 1.7 MB.
+		{"recycled", 100_000, 1024, 1024, 4 << 20},
+		// Pages: about 68 (0.3 MiB); the hashed table's 2^19 16-byte
+		// slots, allocated about twice over while it doubles (16 MiB);
+		// directory: 2^18 words, twice over (2 MiB); the rest is the
+		// simulated heap of 2^18 blocks of 16-32 bytes and the manager's
+		// bookkeeping. Measured: 55 MiB.
+		{"budget", 1<<18 + 4096, 1 << 18, 1000, 80 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "strided.trace")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := trace.NewEncoder(f)
+			err = enc.Begin("strided")
+			for i := int64(0); i < tc.allocs && err == nil; i++ {
+				if i >= tc.liveSet {
+					err = enc.WriteEvent(trace.Event{Kind: trace.KindFree, ID: (i - tc.liveSet) * tc.stride, Tick: i})
+				}
+				if err == nil {
+					err = enc.WriteEvent(trace.Event{Kind: trace.KindAlloc, ID: i * tc.stride, Size: 16 + 8*(i%3), Tick: i})
+				}
+			}
+			for i := tc.allocs - tc.liveSet; i < tc.allocs && err == nil; i++ {
+				err = enc.WriteEvent(trace.Event{Kind: trace.KindFree, ID: i * tc.stride, Tick: tc.allocs})
+			}
+			if err := errors.Join(err, enc.Close(), f.Close()); err != nil {
+				t.Fatal(err)
+			}
+			tf, err := trace.OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := tf.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := kingsley.New(heap.New(heap.Config{}))
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := trace.RunSource(context.Background(), m, src, trace.RunOpts{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 2 * int(tc.allocs); res.Events != want {
+				t.Fatalf("replayed %d events, want %d", res.Events, want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > tc.bound {
+				t.Errorf("strided replay allocated %d bytes (bound %d): the live table is not O(live IDs)", got, tc.bound)
+			}
+			t.Logf("replayed %d events; allocated %d bytes", res.Events, after.TotalAlloc-before.TotalAlloc)
+		})
 	}
-	enc := trace.NewEncoder(f)
-	err = enc.Begin("strided")
-	for i := int64(0); i < allocs && err == nil; i++ {
-		if i >= liveSet {
-			err = enc.WriteEvent(trace.Event{Kind: trace.KindFree, ID: (i - liveSet) * stride, Tick: i})
-		}
-		if err == nil {
-			err = enc.WriteEvent(trace.Event{Kind: trace.KindAlloc, ID: i * stride, Size: 16 + 8*(i%37), Tick: i})
-		}
-	}
-	for i := int64(allocs - liveSet); i < allocs && err == nil; i++ {
-		err = enc.WriteEvent(trace.Event{Kind: trace.KindFree, ID: i * stride, Tick: allocs})
-	}
-	if err := errors.Join(err, enc.Close(), f.Close()); err != nil {
-		t.Fatal(err)
-	}
-	tf, err := trace.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := tf.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := kingsley.New(heap.New(heap.Config{}))
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := trace.RunSource(context.Background(), m, src, trace.RunOpts{})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * allocs; res.Events != want {
-		t.Fatalf("replayed %d events, want %d", res.Events, want)
-	}
-	// Pages: liveSet+1 of 4 KiB (4.2 MB); directory: a word per page of
-	// the 100M IDs, allocated twice over while it doubles (0.8 MB); the
-	// rest (decode buffers, the simulated heap) is well under 2 MB.
-	const bound = 8 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-		t.Errorf("strided replay allocated %d bytes (bound %d): the live table is not O(live IDs)", got, bound)
-	}
-	t.Logf("replayed %d events; allocated %d bytes", res.Events, after.TotalAlloc-before.TotalAlloc)
 }
